@@ -327,8 +327,9 @@ let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
                 ?halt_after st)
       | None -> (
           (* constructing the fuzzer forces the spec database and the LM
-             model — real generation cost, attributed to the generate
-             stage so the profile's residual only holds true unknowns *)
+             model — unmarshalling the build-time artefacts, attributed to
+             the generate stage so the profile's residual only holds true
+             unknowns *)
           let fz =
             Jsinterp.Run.Stage.time Jsinterp.Run.Stage.generate (fun () ->
                 match String.lowercase_ascii fuzzer_name with

@@ -241,8 +241,9 @@ let create ~workers ?(limits = default_limits) ~worker () : ('a, 'b) t =
   if limits.li_watchdog_s <= 0.0 then
     invalid_arg "Coordinator.create: li_watchdog_s must be > 0";
   (* Children inherit shared immutable state copy-on-write; force the
-     expensive lazies now so each child doesn't rebuild them. (Mirrors
-     Executor.create. Must run before any domain is spawned.) *)
+     prebuilt lazies now so the children share one unmarshalled copy's
+     pages instead of each decoding its own. (Mirrors Executor.create.
+     Must run before any domain is spawned.) *)
   ignore (Lazy.force Specdb.Db.standard);
   ignore (Lazy.force Lm.Model.comfort);
   (* EPIPE (a dead worker under our write) must be an error to classify,

@@ -3,7 +3,20 @@
 open Value
 open Builtins_util
 
-let rec stringify ctx ?(indent = "") ?(cur = "") (v : value) : string option =
+(* SerializeJSONObject / SerializeJSONArray steps 1-2: a value already on
+   the stack is a cycle. The caller pops [o] when its members are done; an
+   exception abandons the whole call, and [stack] with it. *)
+let enter ctx stack (o : obj) =
+  if Hashtbl.mem stack o.oid then
+    Ops.type_error ctx "JSON.stringify: cyclic structure";
+  Hashtbl.replace stack o.oid ()
+
+(* SerializeJSONProperty. [stack] holds the oids of the objects being
+   serialised (ECMA-262's state.[[Stack]]), so a cycle is detected in O(1)
+   per level and throws a TypeError instead of recursing forever.
+   [to_json] is false for the value a toJSON call returned, which the spec
+   serialises without consulting toJSON again. *)
+let rec serialize ctx stack ~indent ~cur ~to_json (v : value) : string option =
   match v with
   | Undefined ->
       if fire ctx Quirk.Q_json_stringify_undefined_string then Some "undefined"
@@ -18,7 +31,8 @@ let rec stringify ctx ?(indent = "") ?(cur = "") (v : value) : string option =
       else Some (Ops.number_to_string f)
   | Str s -> Some (quote s)
   | Obj { call = Some _; _ } -> None
-  | Obj ({ arr = Some a; _ }) ->
+  | Obj ({ arr = Some a; _ } as o) ->
+      enter ctx stack o;
       let next = cur ^ indent in
       let sep, open_pad, close_pad =
         if indent = "" then (",", "", "")
@@ -27,19 +41,21 @@ let rec stringify ctx ?(indent = "") ?(cur = "") (v : value) : string option =
       let parts =
         List.map
           (fun el ->
-            match stringify ctx ~indent ~cur:next el with
+            match serialize ctx stack ~indent ~cur:next ~to_json:true el with
             | Some s -> s
             | None -> "null")
           (Array.to_list (Array.sub a.elems 0 (min a.alen (Array.length a.elems))))
       in
+      Hashtbl.remove stack o.oid;
       if parts = [] then Some "[]"
       else Some ("[" ^ open_pad ^ String.concat sep parts ^ close_pad ^ "]")
   | Obj o -> (
-      (* honour toJSON *)
-      match Ops.get_obj ctx o "toJSON" with
+      match if to_json then Ops.get_obj ctx o "toJSON" else Undefined with
       | Obj { call = Some _; _ } as fn ->
-          stringify ctx ~indent ~cur (ctx.call_hook ctx fn (Obj o) [])
+          serialize ctx stack ~indent ~cur ~to_json:false
+            (ctx.call_hook ctx fn v [])
       | _ ->
+          enter ctx stack o;
           let next = cur ^ indent in
           let sep, colon, open_pad, close_pad =
             if indent = "" then (",", ":", "", "")
@@ -48,11 +64,15 @@ let rec stringify ctx ?(indent = "") ?(cur = "") (v : value) : string option =
           let parts =
             List.filter_map
               (fun k ->
-                match stringify ctx ~indent ~cur:next (Ops.get_obj ctx o k) with
+                match
+                  serialize ctx stack ~indent ~cur:next ~to_json:true
+                    (Ops.get_obj ctx o k)
+                with
                 | Some s -> Some (quote k ^ colon ^ s)
                 | None -> None)
               (Ops.enum_keys ctx o)
           in
+          Hashtbl.remove stack o.oid;
           if parts = [] then Some "{}"
           else Some ("{" ^ open_pad ^ String.concat sep parts ^ close_pad ^ "}"))
 
@@ -73,6 +93,9 @@ and quote (s : string) : string =
     s;
   Buffer.add_char buf '"';
   Buffer.contents buf
+
+let stringify ctx ~indent (v : value) : string option =
+  serialize ctx (Hashtbl.create 8) ~indent ~cur:"" ~to_json:true v
 
 (* recursive-descent JSON parser *)
 type pstate = { src : string; mutable pos : int }

@@ -25,9 +25,10 @@
      cannot appear in a template; [clone] rejects them.)
 
    Object ids are allocated fresh for each copy, in traversal rather than
-   install order. This is unobservable: [oid] is an identity tag that no
-   interpreter or builtin code ever reads, and the campaign executor
-   already interleaves allocations arbitrarily across domains.
+   install order. This is unobservable: [oid] is an identity tag that
+   interpreter and builtin code read only as an identity key (JSON's cycle
+   check), never as a number, and the campaign executor already
+   interleaves allocations arbitrarily across domains.
 
    The template is built lazily under a mutex (campaign worker domains
    may race to the first execution) and is immutable afterwards, so

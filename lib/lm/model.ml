@@ -1,41 +1,16 @@
-(* Trained language models over the embedded corpus.
+(* The standard language models and sampling from them.
 
-   [comfort ()] is the Comfort generator's model: BPE tokens, order-8
-   context. [deepsmith ()] is the baseline: character tokens, order-4 —
-   the same machinery with shorter modelled dependencies, standing in for
-   DeepSmith's LSTM. Both are memoised; training is a one-off cost like the
-   paper's 30 GPU-hours, at laptop scale. *)
+   [comfort] is the Comfort generator's model: BPE tokens, order-8
+   context. [deepsmith] is the baseline: character tokens, order-4. Both
+   are trained at build time ([Lm_train.Model], run by [lib/prebuild]),
+   the way the paper trains its GPT-2 once, offline; a process only
+   unmarshals them. *)
 
-type t = {
-  tokenizer : Bpe.t;
-  model : Ngram.t;
-  char_level : bool;
-}
+open Lm_train
+include Model
 
-let bos = -1
-
-let train_bpe ?(order = 8) ?(n_merges = 200) (programs : string list) : t =
-  let tok = Bpe.learn ~n_merges (String.concat "\n\n" programs) in
-  let model = Ngram.create ~order ~bos in
-  let eof = Bpe.eof_id tok in
-  List.iter
-    (fun p -> Ngram.add_sequence model (Bpe.encode tok p @ [ eof ]))
-    programs;
-  { tokenizer = tok; model; char_level = false }
-
-let train_chars ?(order = 4) (programs : string list) : t =
-  let tok = Bpe.char_tokenizer () in
-  let model = Ngram.create ~order ~bos in
-  (* encoding any text interns <EOF> first *)
-  ignore (Bpe.encode_chars tok "");
-  let eof = Bpe.eof_id tok in
-  List.iter
-    (fun p -> Ngram.add_sequence model (Bpe.encode_chars tok p @ [ eof ]))
-    programs;
-  { tokenizer = tok; model; char_level = true }
-
-let comfort : t Lazy.t = lazy (train_bpe Js_corpus.programs)
-let deepsmith : t Lazy.t = lazy (train_chars Js_corpus.programs)
+let comfort : t Lazy.t = lazy (Marshal.from_string Prebuilt.comfort 0 : t)
+let deepsmith : t Lazy.t = lazy (Marshal.from_string Prebuilt.deepsmith 0 : t)
 
 let encode (t : t) (text : string) : int list =
   if t.char_level then Bpe.encode_chars t.tokenizer text

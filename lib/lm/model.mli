@@ -1,22 +1,19 @@
-(** Trained language models over the embedded JS corpus.
+(** The standard language models and sampling from them.
 
     {!comfort} is the Comfort generator's model: BPE tokens with an order-8
     back-off context — the GPT-2 substitute (see DESIGN.md). {!deepsmith}
     is the baseline: character tokens with an order-4 context, standing in
-    for DeepSmith's LSTM. The longer modelled context is what reproduces
-    the paper's syntactic-validity gap (Fig. 9). *)
+    for DeepSmith's LSTM. The type and the trainers are re-exported from
+    [Lm_train.Model]. *)
 
-type t = {
-  tokenizer : Bpe.t;
-  model : Ngram.t;
-  char_level : bool;
-}
+include module type of struct
+  include Lm_train.Model
+end
 
-val train_bpe : ?order:int -> ?n_merges:int -> string list -> t
-val train_chars : ?order:int -> string list -> t
-
-(** Memoised standard models (training is a one-off cost, as in the
-    paper's 30 GPU-hours — at laptop scale). *)
+(** The standard models, trained on [Js_corpus.programs] at build time
+    (as the paper trains its GPT-2 once, offline) and unmarshalled from
+    {!Prebuilt} on first use. They are equal to
+    [train_bpe Js_corpus.programs] and [train_chars Js_corpus.programs]. *)
 val comfort : t Lazy.t
 val deepsmith : t Lazy.t
 

@@ -1,28 +1,11 @@
-(** The structured specification database (the JSON store of Figure 3/4).
+(** The structured specification database: [Specdb_parse.Db] plus the
+    standard database. *)
 
-    Lookup happens by the last path component of the API name, because the
-    data generator sees call sites like [str.substr(a, b)] whose receiver
-    type is unknown statically — matching ["substr"] against
-    ["String.prototype.substr"] is exactly what the paper's tool does. *)
+include module type of struct
+  include Specdb_parse.Db
+end
 
-type t = {
-  entries : Spec_ast.entry list;
-  by_key : (string, Spec_ast.entry list) Hashtbl.t;
-}
-
-val last_component : string -> string
-
-val build : Spec_ast.entry list -> t
-
-(** The standard database: the embedded ECMA-262 corpus parsed once. *)
+(** The standard database: the embedded ECMA-262 corpus parsed at build
+    time and unmarshalled from {!Prebuilt} on first use. It equals
+    [build (Spec_parser.parse_document Ecma_corpus.text)]. *)
 val standard : t Lazy.t
-
-val lookup : t -> string -> Spec_ast.entry list
-
-(** Entries carrying exploitable boundary data. *)
-val usable_entries : t -> Spec_ast.entry list
-
-(** Aggregate rule coverage over the whole document (paper §3.1: ~82%). *)
-val rule_coverage : t -> float
-
-val stats : t -> string

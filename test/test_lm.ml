@@ -119,6 +119,39 @@ let generation_terminates () =
     Alcotest.(check bool) "bounded size" true (String.length src < 60_000)
   done
 
+(* The models built at build time (lib/prebuild) are the models training
+   at run time would give: the same Marshal bytes, and the same programs
+   sampled from them. Training here is the oracle that keeps the build
+   step honest. *)
+let prebuilt_models_equal_trained () =
+  let pairs =
+    [
+      ("comfort", Lm.Prebuilt.comfort, Lm.Model.comfort,
+       Lm.Model.train_bpe Lm.Js_corpus.programs);
+      ("deepsmith", Lm.Prebuilt.deepsmith, Lm.Model.deepsmith,
+       Lm.Model.train_chars Lm.Js_corpus.programs);
+    ]
+  in
+  List.iter
+    (fun (name, blob, prebuilt, trained) ->
+      let bytes = Marshal.to_string trained [] in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: prebuilt bytes (%d) = trained bytes (%d)" name
+           (String.length blob) (String.length bytes))
+        true (String.equal blob bytes);
+      let sample model seed =
+        let g = Comfort.Generator.create ~seed ~model () in
+        List.init 50 (fun _ -> Comfort.Generator.sample_program g)
+      in
+      List.iter
+        (fun seed ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: seed %d samples" name seed)
+            (sample trained seed)
+            (sample (Lazy.force prebuilt) seed))
+        [ 1; 2; 3 ])
+    pairs
+
 let suite =
   [
     case "bpe round-trip" bpe_roundtrip;
@@ -131,4 +164,5 @@ let suite =
     case "training corpus runs clean" corpus_runs_clean;
     case "corpus avoids baseline-only APIs" corpus_avoids_baseline_apis;
     case "generation terminates" generation_terminates;
+    case "prebuilt models equal trained" prebuilt_models_equal_trained;
   ]

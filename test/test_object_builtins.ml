@@ -161,6 +161,42 @@ let json_error_tests () =
   check_error "parse single quotes" {|print(JSON.parse("'str'"));|} "SyntaxError";
   check_error "parse trailing chars" {|print(JSON.parse("1 2"));|} "SyntaxError"
 
+(* A cyclic structure is a TypeError (ECMA-262 SerializeJSONObject /
+   SerializeJSONArray, step 1), where stringify used to recurse without
+   charging fuel; a toJSON that returns its receiver serialises the
+   receiver without calling toJSON again. Same output on the production
+   path and on the reference tree-walker. *)
+let json_cycle_tests () =
+  let catch body =
+    Printf.sprintf "try { %s; print(\"no error\"); } catch (e) { print(e.name); }" body
+  in
+  let programs =
+    [
+      ("array cycle", catch "var a = [1]; a.push(a); JSON.stringify(a)", "TypeError");
+      ("object cycle", catch "var o = {x: {}}; o.x.back = o; JSON.stringify(o)", "TypeError");
+      ( "cycle under indent",
+        catch "var o = {}; o.a = [o]; JSON.stringify(o, null, 2)",
+        "TypeError" );
+      ( "toJSON returns receiver",
+        {|print(JSON.stringify({a: 1, toJSON: function() { return this; }}));|},
+        {|{"a":1}|} );
+      ( "shared, acyclic",
+        {|var d = {x: [1]}; print(JSON.stringify([d, d, {y: d}]));|},
+        {|[{"x":[1]},{"x":[1]},{"y":{"x":[1]}}]|} );
+    ]
+  in
+  List.iter
+    (fun (name, src, expected) ->
+      List.iter
+        (fun (path, fast) ->
+          let r =
+            Jsinterp.Run.run ~resolve:fast ~reach:fast ~specialize:fast src
+          in
+          Alcotest.(check string) (name ^ ", " ^ path) (expected ^ "\n")
+            r.Jsinterp.Run.r_output)
+        [ ("production", true); ("reference", false) ])
+    programs
+
 let typed_tests =
   [
     ("u8 length", {|new Uint8Array(4).length|}, "4");
@@ -237,6 +273,7 @@ let suite =
       case "object errors" object_error_tests;
       case "number errors" number_error_tests;
       case "json errors" json_error_tests;
+      case "json cycles" json_cycle_tests;
       case "typed arrays + dataview" typed_error_tests;
       case "eval" eval_tests;
       case "regexp objects" regexp_object_tests;

@@ -126,6 +126,19 @@ let usable_entries () =
         (e.Spec_ast.e_parsed_rules > 0))
     usable
 
+(* The database built at build time (lib/prebuild) is the one parsing
+   the corpus at run time gives, byte for byte; parsing here is the
+   oracle that keeps the build step honest. *)
+let prebuilt_equals_parsed () =
+  let parsed = Db.build (Spec_parser.parse_document Ecma_corpus.text) in
+  let bytes = Marshal.to_string parsed [] in
+  Alcotest.(check bool)
+    (Printf.sprintf "prebuilt bytes (%d) = parsed bytes (%d)"
+       (String.length Prebuilt.standard) (String.length bytes))
+    true (String.equal Prebuilt.standard bytes);
+  Alcotest.(check bool) "Db.standard is the prebuilt database" true
+    (String.equal Prebuilt.standard (Marshal.to_string (db ()) []))
+
 let suite =
   [
     case "substr entry matches Figure 4" substr_entry;
@@ -137,4 +150,5 @@ let suite =
     case "lookup" lookup_by_last_component;
     case "json output" json_shape;
     case "usable entries" usable_entries;
+    case "prebuilt database equals parsed" prebuilt_equals_parsed;
   ]
