@@ -90,8 +90,11 @@ let supports (c : Registry.config) (src : string) : bool =
      covers the sunk quirks — and, for strict groups, whose source
      contains no strict-sensitive construct (or opts into strict
      itself) — parses identically and shares the base front end
-     outright, compilations, reach analysis and all. In the common case
-     the whole 100-testbed sweep costs one or two parses;
+     outright, compilations, reach analysis and all. An ES5 base parse
+     that accepts the source as the standard one did (same sunk quirks,
+     same strict sensitivity) folds into the standard base front end, so
+     in the common case every testbed runs one front end, and the whole
+     100-testbed sweep costs one or two parses;
    - the [supports] verdict and the syntactic-validity check backing its
      feature-gap probe, both derived from the base parses for free;
    - a real parse per [(Registry.parse_key, mode)] group whose
@@ -132,7 +135,7 @@ module Frontend = struct
         Quirk.Q_strict_delete_unqualified_accepted;
       ]
 
-  let base_frontend (fc : cache) ~(es5 : bool) : Run.frontend =
+  let rec base_frontend (fc : cache) ~(es5 : bool) : Run.frontend =
     match Hashtbl.find_opt fc.fc_base es5 with
     | Some fe -> fe
     | None ->
@@ -145,6 +148,23 @@ module Frontend = struct
         let fe =
           Run.parse_frontend ~quirks:permissive_quirks ~parse_opts
             ~strict:false ~reach_strict:true fc.fc_src
+        in
+        (* the ES5 fold: ES5 options only add rejections, so when the ES5
+           parse accepts the source leaning on the same quirks and meeting
+           the same strict-sensitive constructs, it built the standard
+           tree. Serve the standard base front end instead, so ES5 and
+           standard testbeds share its compilations and execution classes *)
+        let fe =
+          if not es5 then fe
+          else
+            let std = base_frontend fc ~es5:false in
+            match (fe.Run.fe_program, std.Run.fe_program) with
+            | Ok _, Ok _
+              when Quirk.Set.equal fe.Run.fe_fired std.Run.fe_fired
+                   && fe.Run.fe_strict_sensitive = std.Run.fe_strict_sensitive
+              ->
+                std
+            | _ -> fe
         in
         Hashtbl.replace fc.fc_base es5 fe;
         fe
@@ -227,10 +247,18 @@ end
    73 registered quirk checkpoints, so most testbeds are guaranteed to
    replay the reference behaviour byte for byte. [Exec.run] therefore
    executes once per *behavioural equivalence class* — testbeds keyed by
-   (parse group, mode, quirk set ∩ touched checkpoints) — and lets every
-   other member inherit the representative's [Run.result] (output, status,
-   fuel, fired), so majority voting and the 2t rule see exactly the
-   results a direct sweep would have produced.
+   (front end, mode, fuel, quirk set ∩ touched checkpoints) — and lets
+   every other member inherit the representative's [Run.result] (output,
+   status, fuel, fired), so majority voting and the 2t rule see exactly
+   the results a direct sweep would have produced.
+
+   The front end is the physical [Run.frontend] the testbed runs, not its
+   parse group: {!Frontend} already proves most parse groups (ES5 and
+   parser-quirk ones included) parse the source into one shared tree, and
+   the only run-time reader of the engine's parse options is [eval]. So a
+   representative that never reparsed ([ex_reparsed = false]) serves
+   every parse group on its front end, and one that did serves only
+   members of its own parse key.
 
    Classes are discovered by a split-and-rerun fixpoint: each incoming
    testbed is validated against the representatives found so far, in
@@ -247,43 +275,51 @@ end
    source string and is NOT domain-safe: the campaign executor builds one
    per case inside the worker that owns the case. *)
 module Exec = struct
-  (* One (parse group, strict, fuel) equivalence-class table entry: the
-     representative list (ground truth, oldest first) plus the static
-     partition cells hanging off it. A cell key is the quirk set ∩ the
-     parse group's static reach set, packed into its two machine words —
-     [Quirk.Bits]; a Quirk.Set.t has order-dependent tree shape and a
-     sorted element list allocates and hashes slowly, which PR 6
-     measured as a throughput regression. The static reach set
-     over-approximates every touched set of the parse group, so two
-     quirk sets in one cell agree on every checkpoint any execution can
-     consult — a cell hit shares without scanning the full class list.
-     Purely an acceleration: the class list stays the ground truth, so
-     executions performed are identical with or without the analysis.
-     Cells live inside the class entry as a small inline list with the
-     two cell words compared directly (rather than in a Hashtbl keyed by
-     the full class key, or even by the word pair): a class sees at most
-     a handful of distinct cells, and PR 7 measured the polymorphic
-     hashing of structured keys — ~0.5µs per call, ~40k calls per
-     campaign — as the overhead that made the reach row slower than
-     plain sharing. The inline walk is two integer compares per entry
-     and allocates nothing on the lookup path. *)
+  (* A class entry holds the representative list (ground truth, oldest
+     first) plus the static partition cells hanging off it. A cell key is
+     the quirk set ∩ the front end's static reach set, packed into its two
+     machine words ([Quirk.Bits]): a Quirk.Set.t has order-dependent tree
+     shape, and a sorted element list allocates and hashes slowly. The
+     static reach set over-approximates every touched set of the front
+     end, so two quirk sets in one cell agree on every checkpoint any
+     execution can consult — a cell hit shares without scanning the full
+     class list. Purely an acceleration: the class list stays the ground
+     truth, so executions performed are identical with or without the
+     analysis. Cells live inside the class entry as a small inline list
+     with the two cell words compared directly: a class sees at most a
+     handful of distinct cells, and polymorphic hashing of structured
+     keys (~0.5µs per call, ~40k calls per campaign) cost more than the
+     cells save. The inline walk is two integer compares per entry and
+     allocates nothing on the lookup path. *)
+  type rep = {
+    rp_ex : Run.exec;
+    rp_pk : int;
+        (* [Registry.pk_int] of the parse key it ran under — consulted
+           only when the execution reparsed at run time ([ex_reparsed]) *)
+  }
+
   type cell = {
     ce_lo : int;
     ce_hi : int;  (* quirks ∩ reach set, packed ([Quirk.Bits]) *)
-    mutable ce_reps : Run.exec list;
+    mutable ce_reps : rep list;
   }
 
+  (* One class table entry, keyed by the physical front end, the mode and
+     the fuel budget (fuel is in the key so a cache survives mixed
+     budgets). A case sees one to three front ends, so the table is a
+     short list compared by [==]: no hashing and no allocation on the
+     lookup path. *)
   type cls = {
-    mutable cl_reps : Run.exec list;
+    cl_fe : Run.frontend;
+    cl_strict : bool;
+    cl_fuel : int;
+    mutable cl_reps : rep list;
     mutable cl_cells : cell list;
   }
 
   type cache = {
     ec_frontend : Frontend.cache;
-    ec_classes : (int, cls) Hashtbl.t;
-        (* (parse group, strict, fuel) packed into one int — group key
-           in the low 5 bits, fuel above — -> class entry; fuel is in
-           the key so a cache survives mixed budgets *)
+    mutable ec_classes : cls list;
     mutable ec_executed : int;  (* real interpreter executions *)
     mutable ec_shared : int;    (* runs answered by class inheritance *)
     mutable ec_seeded : int;    (* shared runs answered by the static cell *)
@@ -299,23 +335,16 @@ module Exec = struct
      process's count (see [Run.add_runs]). *)
   let add_seeded n = if n > 0 then ignore (Atomic.fetch_and_add seeded_total n)
 
-  let cache (src : string) : cache =
+  let of_frontend (fc : Frontend.cache) : cache =
     {
-      ec_frontend = Frontend.cache src;
-      ec_classes = Hashtbl.create 8;
+      ec_frontend = fc;
+      ec_classes = [];
       ec_executed = 0;
       ec_shared = 0;
       ec_seeded = 0;
     }
 
-  let of_frontend (fc : Frontend.cache) : cache =
-    {
-      ec_frontend = fc;
-      ec_classes = Hashtbl.create 8;
-      ec_executed = 0;
-      ec_shared = 0;
-      ec_seeded = 0;
-    }
+  let cache (src : string) : cache = of_frontend (Frontend.cache src)
 
   let frontend_cache (ec : cache) = ec.ec_frontend
   let supports (ec : cache) (c : Registry.config) =
@@ -349,15 +378,25 @@ module Exec = struct
           ~frontend:fe
           (Frontend.source ec.ec_frontend)
     | Ok _ -> (
-        let ckey = Frontend.group_key pkey ~strict lor (fuel lsl 5) in
-        let cls =
-          match Hashtbl.find_opt ec.ec_classes ckey with
-          | Some c -> c
-          | None ->
-              let c = { cl_reps = []; cl_cells = [] } in
-              Hashtbl.replace ec.ec_classes ckey c;
+        let rec find_cls = function
+          | [] ->
+              let c =
+                {
+                  cl_fe = fe;
+                  cl_strict = strict;
+                  cl_fuel = fuel;
+                  cl_reps = [];
+                  cl_cells = [];
+                }
+              in
+              ec.ec_classes <- c :: ec.ec_classes;
               c
+          | c :: tl ->
+              if c.cl_fe == fe && c.cl_strict = strict && c.cl_fuel = fuel
+              then c
+              else find_cls tl
         in
+        let cls = find_cls ec.ec_classes in
         (* the static cell of this quirk set, when the analysis is on:
            two machine words of intersection, then an inline walk of the
            class's few cells — no hashing, no allocation *)
@@ -378,47 +417,54 @@ module Exec = struct
             Some (find cls.cl_cells)
           end
         in
+        (* the class condition, plus the runtime-parse guard: an execution
+           that reparsed ([eval]) read its parse options, so it lends its
+           result only within its own parse key *)
+        let pk = Registry.pk_int pkey in
+        let matches r =
+          Run.shares_class_bits ~qbits r.rp_ex
+          && ((not r.rp_ex.Run.ex_reparsed) || r.rp_pk = pk)
+        in
         let cell_hit =
           match bucket with
-          | Some c -> List.find_opt (Run.shares_class_bits ~qbits) c.ce_reps
+          | Some c -> List.find_opt matches c.ce_reps
           | None -> None
         in
         match cell_hit with
-        | Some ex ->
+        | Some r ->
             (* same-cell representative: [shares_class] is implied by the
                cell equality (touched ⊆ reach set), and re-checked above
                as a cheap defence against an unsound analysis *)
             ec.ec_shared <- ec.ec_shared + 1;
             ec.ec_seeded <- ec.ec_seeded + 1;
             Atomic.incr seeded_total;
-            Run.share ~frontend:fe ~quirks ex
+            Run.share ~frontend:fe ~quirks r.rp_ex
         | None -> (
-            match
-              List.find_opt (Run.shares_class_bits ~qbits) cls.cl_reps
-            with
-            | Some ex ->
+            match List.find_opt matches cls.cl_reps with
+            | Some r ->
                 (* cross-cell share (the representative's cell differs on
                    some statically-reachable but dynamically-untouched
                    checkpoint): remember it in this cell too, so the next
                    same-cell member hits without the full scan *)
                 ec.ec_shared <- ec.ec_shared + 1;
                 (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ ex ]
+                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
                 | None -> ());
-                Run.share ~frontend:fe ~quirks ex
+                Run.share ~frontend:fe ~quirks r.rp_ex
             | None ->
-                (* split: no representative's touched set validates this
-                   quirk set, so it seeds a new class with a direct
+                (* split: no representative validates this quirk set (and
+                   parse key), so it seeds a new class with a direct
                    execution *)
                 let ex =
                   Run.run_exec ~quirks ~parse_opts ~strict ~fuel ?resolve
                     ~reach ?specialize ~frontend:fe
                     (Frontend.source ec.ec_frontend)
                 in
+                let r = { rp_ex = ex; rp_pk = pk } in
                 ec.ec_executed <- ec.ec_executed + 1;
-                cls.cl_reps <- cls.cl_reps @ [ ex ];
+                cls.cl_reps <- cls.cl_reps @ [ r ];
                 (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ ex ]
+                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
                 | None -> ());
                 ex.Run.ex_result))
 
@@ -431,9 +477,11 @@ module Exec = struct
       ~parse_opts:(Registry.parse_opts_of_config cfg)
       ~strict:(tb.tb_mode = Strict) ~fuel
 
-  (* The conforming reference engine through the same cache: joins the
-     standard-front-end, quirk-free parse group and (having no quirks at
-     all) shares any class whose representative fired nothing it touched. *)
+  (* The conforming reference engine through the same cache: runs on the
+     front end of the standard, quirk-free parse group — usually the
+     shared base front end — and (having no quirks at all) shares any
+     class on it whose representative fired nothing it touched, provided
+     that representative did not reparse under other parse options. *)
   let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?resolve
       ?reach ?specialize (ec : cache) : Run.result =
     run_keyed ?resolve ?reach ?specialize ~qbits:Quirk.Bits.empty ec

@@ -75,7 +75,11 @@ module Frontend : sig
   val supports : cache -> Registry.config -> bool
 
   (** The shared front end for this testbed's parse group, parsing on
-      first use. Pass to [run ~frontend]. *)
+      first use. Pass to [run ~frontend]. Groups whose parse options are
+      unobservable on the source — parser-quirk groups whose quirks cover
+      what the base parse leaned on, and ES5 groups whose parse accepts
+      the source as the standard one does — get the same physical front
+      end, which {!Exec} uses as its class key. *)
   val frontend : cache -> testbed -> Jsinterp.Run.frontend
 
   (** The shared front end of an arbitrary parse group, for profiles not
@@ -92,10 +96,13 @@ end
 
 (** Per-test-case execution-sharing cache, extending {!Frontend} from
     shared parses to shared executions. [run] interprets once per
-    behavioural equivalence class — testbeds keyed by (parse group, mode,
-    quirks ∩ touched checkpoints) — and every other member inherits the
+    behavioural equivalence class — testbeds keyed by (front end run,
+    mode, fuel, quirks ∩ touched checkpoints), across parse groups that
+    share a front end — and every other member inherits the
     representative's [Run.result], byte-identical to a direct sweep
-    (soundness argument in DESIGN.md §8). Classes are found by a bounded
+    (soundness argument in DESIGN.md §8). A representative that parsed
+    source at run time ([eval], [Run.exec.ex_reparsed]) shares only
+    within its own parse key. Classes are found by a bounded
     split-and-rerun fixpoint validated against each representative's own
     touched set. Mutable, single-domain, tied to one source string, like
     {!Frontend.cache}. *)

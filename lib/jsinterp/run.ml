@@ -326,6 +326,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       specials_shadowed = false;
       ic_gen = Atomic.fetch_and_add Value.ic_gen_counter 1;
       ihits = 0;
+      reparsed = false;
     }
   in
   (match snap with
@@ -334,6 +335,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
   ctx.call_hook <- (fun ctx fn this args -> Interp.call_function ctx fn this args);
   ctx.eval_hook <-
     (fun ctx scope strict src ->
+      ctx.Value.reparsed <- true;
       (* wire quirk firing out of the engine's parser *)
       let opts =
         {
@@ -467,6 +469,10 @@ type exec = {
       (** [ex_fbits] as a [Quirk.Set.t]; forced only when a class member
           actually inherits parse-stage quirks (see [share]) or by tests *)
   ex_touched : Quirk.Set.t Lazy.t;  (** [ex_tbits] as a [Quirk.Set.t] *)
+  ex_reparsed : bool;
+      (** the execution parsed source at run time ([eval]) and so read
+          the engine's parse options; [false] proves the run independent
+          of them *)
 }
 
 let run_exec ?(quirks = Quirk.Set.empty)
@@ -508,6 +514,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
         ex_tbits = Quirk.Bits.empty;
         ex_fired = lazy Quirk.Set.empty;
         ex_touched = lazy Quirk.Set.empty;
+        ex_reparsed = false;
       }
   | Ok prog ->
       Atomic.incr runs;
@@ -637,6 +644,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
           ex_tbits = tbits;
           ex_fired;
           ex_touched;
+          ex_reparsed = ctx.Value.reparsed;
         }
       in
       (* the result captured everything it needs as immutable copies; the

@@ -231,6 +231,11 @@ type exec = {
       (** [ex_fbits] rebuilt as a [Quirk.Set.t], forced only at report
           boundaries (a {!share} that must re-filter parse quirks, tests) *)
   ex_touched : Quirk.Set.t Lazy.t;  (** [ex_tbits] as a [Quirk.Set.t] *)
+  ex_reparsed : bool;
+      (** the execution parsed source at run time ([eval]), the only
+          runtime reader of the effective parse options. When [false],
+          the result is independent of those options, so engines with
+          different parse options but the same front end can share it *)
 }
 
 (** Like {!run}, but keep the sharing evidence. [run] is [ex_result]. *)
@@ -252,8 +257,9 @@ val run_exec :
     checkpoint in [ex_touched]. The check is self-validating: agreeing on
     every consulted checkpoint forces identical control flow, so a member
     cannot reach a checkpoint the representative did not touch. Callers
-    must also match the parse group (effective front-end options + mode)
-    and the fuel budget — see [Engines.Engine.Exec]. *)
+    must also match the front end (the parsed program), the mode and the
+    fuel budget, plus the effective parse options when [ex_reparsed] — see
+    [Engines.Engine.Exec]. *)
 val shares_class : quirks:Quirk.Set.t -> exec -> bool
 
 (** {!shares_class} on packed quirk words ([Quirk.Bits.of_set quirks]) —

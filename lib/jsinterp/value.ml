@@ -160,6 +160,11 @@ and ctx = {
       (** inline-cache hits of this execution; flushed into the process-wide
           [ic_hits] tally when the run completes (a plain field so the hot
           path never touches an atomic) *)
+  mutable reparsed : bool;
+      (** the execution parsed source at run time ([eval]), the only
+          reader of [parse_opts]; until then the run cannot depend on
+          the engine's parse options, so the execution-sharing layer may
+          lend it across parse groups *)
 }
 
 let proto_of ctx name =

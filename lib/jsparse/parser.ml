@@ -69,6 +69,9 @@ let es5_options =
 
 type state = {
   toks : Lexer.lexed array;
+  pmatch : int array;
+      (** index of each '(' token's matching ')', -1 when unclosed (see
+          [match_parens]) *)
   mutable idx : int;
   opts : options;
   mutable strict : bool;
@@ -125,24 +128,34 @@ let semicolon st =
     | _ when nl_before st -> ()
     | t -> err st ("expected ';', found " ^ Token.to_string t)
 
+(* The index of each '(' token's matching ')' (-1 when the group is never
+   closed), computed once per token array. Rescanning to the ')' at every
+   '(' made [is_arrow_params] quadratic in the nesting depth. *)
+let match_parens (toks : Lexer.lexed array) : int array =
+  let m = Array.make (Array.length toks) (-1) in
+  let open_ = ref [] in
+  Array.iteri
+    (fun i (t : Lexer.lexed) ->
+      match (t.tok, !open_) with
+      | Token.Tpunct "(", _ -> open_ := i :: !open_
+      | Token.Tpunct ")", j :: rest ->
+          m.(j) <- i;
+          open_ := rest
+      | _ -> ())
+    toks;
+  m
+
+let make_state toks opts ~strict =
+  { toks; pmatch = match_parens toks; idx = 0; opts; strict }
+
 (* Lookahead: does the parenthesised group starting at the current '('
    close and get followed by '=>'? Used to tell arrow parameter lists from
    parenthesised expressions. *)
 let is_arrow_params st =
-  let n = Array.length st.toks in
-  let rec scan i depth =
-    if i >= n then false
-    else
-      match st.toks.(i).tok with
-      | Token.Tpunct "(" -> scan (i + 1) (depth + 1)
-      | Token.Tpunct ")" ->
-          if depth = 1 then
-            i + 1 < n && st.toks.(i + 1).tok = Token.Tpunct "=>"
-          else scan (i + 1) (depth - 1)
-      | Token.Teof -> false
-      | _ -> scan (i + 1) depth
-  in
-  scan st.idx 0
+  let j = st.pmatch.(st.idx) in
+  j >= 0
+  && j + 1 < Array.length st.toks
+  && st.toks.(j + 1).tok = Token.Tpunct "=>"
 
 let check_params st params =
   (* the duplicate scan runs in sloppy mode too: a duplicate is a
@@ -175,7 +188,7 @@ let rec parse_program ?(opts = default_options) ?(force_strict = false)
     try Lexer.tokenize src
     with Lexer.Error (msg, line) -> raise (Syntax_error (msg, line))
   in
-  let st = { toks = Array.of_list lexed; idx = 0; opts; strict = force_strict } in
+  let st = make_state (Array.of_list lexed) opts ~strict:force_strict in
   (* directive prologue; [force_strict] models a strict-mode testbed where
      the whole script is treated as strict code *)
   let strict =
@@ -835,7 +848,7 @@ and parse_template st parts : Ast.expr =
             (toks @ [ Token.Teof ])
         in
         let sub_st =
-          { toks = Array.of_list sub_toks; idx = 0; opts = st.opts; strict = st.strict }
+          make_state (Array.of_list sub_toks) st.opts ~strict:st.strict
         in
         let x = parse_expr sub_st in
         if cur sub_st <> Token.Teof then

@@ -230,9 +230,35 @@ let idempotent_prop =
       let s2 = Jsast.Printer.program_to_string (B.refresh_program p) in
       s1 = s2)
 
+let deep_parens_parse_linearly () =
+  (* arrow detection looks up each '(' group's closing ')' instead of
+     rescanning to it, so deep nesting parses in linear time *)
+  let n = 65_536 in
+  let src =
+    "print(" ^ String.make n '(' ^ "1" ^ String.make n ')' ^ ");"
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore (P.parse_program src);
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "64k nested parens parsed in %.2f s (< 2 s)" dt)
+    true (dt < 2.0);
+  (* the lookup still tells arrow heads from parenthesised expressions *)
+  List.iter
+    (fun src -> ignore (P.parse_program src))
+    [
+      "var f = (a, b) => ((a) + (b));";
+      "var g = ((x)) + ((y) => y)(1);";
+      "var h = (a) => (b) => ((a)(b));";
+    ];
+  match P.parse_program "var k = ((a)) => 1;" with
+  | _ -> Alcotest.fail "a parenthesised arrow head must be rejected"
+  | exception P.Syntax_error _ -> ()
+
 let suite =
   [
     case "accepted programs" acceptance_tests;
+    case "64k nested parens parse in linear time" deep_parens_parse_linearly;
     case "rejected programs" rejection_tests;
     case "es5 and quirk options" es5_options_tests;
     case "automatic semicolon insertion" asi_tests;

@@ -107,7 +107,11 @@ let run_count_counts_real_executions () =
 
 (* the §5.2-flavoured sources the sweep-level checks run: plain code, the
    steering program above, quirk-rich builtin traffic, a thrown error, a
-   parse-stage quirk trigger, and strict-only behaviour *)
+   parse-stage quirk trigger, and strict-only behaviour — then four
+   runtime parses, whose outcome depends on the engine's parse options
+   (a parser quirk's acceptance or the ES5 profile's rejections) without
+   any checkpoint recording it: direct and indirect [eval] must keep a
+   representative's result inside its own parse key *)
 let sweep_sources =
   [
     "print(1 + 1);";
@@ -119,6 +123,13 @@ print([10,9,1].sort()); print("abc".charAt(-1) === "");|};
 foo(-634619);|};
     "for (var i = 0; i < 3; i++)";
     "function f(a, a) { return a; } print(f(1, 2));";
+    {|try { eval("for (var i = 0; i < 1; i++)"); print("accepted"); }
+catch (e) { print(e.name); }|};
+    {|try { eval("'use strict'; function f(a, a) { return a; } print(f(1, 2));"); }
+catch (e) { print(e.name); }|};
+    {|try { this["ev" + "al"]("for (var i = 0; i < 1; i++)"); print("accepted"); }
+catch (e) { print(e.name); }|};
+    {|try { eval("let x = 3; print(x * 2);"); } catch (e) { print(e.name); }|};
   ]
 
 let exec_cache_equals_direct_sweep () =
@@ -177,6 +188,47 @@ let exec_cache_collapses_the_sweep () =
         (executed * 4 <= ran))
     [ "print(1 + 1);"; steering_src;
       {|print([3,1,2].sort()); print("x".charAt(-1));|} ]
+
+let sweep_collapses_across_parse_groups () =
+  (* a program that neither parses at run time nor consults a checkpoint
+     runs once per mode: every parse group, ES5 included, shares the
+     standard base front end and hence its execution classes *)
+  let ec = Engine.Exec.cache "print(1 + 1);" in
+  List.iter
+    (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ec tb))
+    Engine.all_testbeds;
+  let executed, shared = Engine.Exec.stats ec in
+  Alcotest.(check int) "one execution per mode" 2 executed;
+  Alcotest.(check int) "every other testbed shares"
+    (List.length Engine.all_testbeds - 2)
+    shared
+
+let es5_parse_prints_as_standard () =
+  (* the ES5 fold's premise: ES5 options only add rejections, so a
+     program they accept parses to the standard tree. Trees carry fresh
+     node ids per parse, so compare printed text *)
+  let print opts ~force_strict src =
+    match Jsparse.Parser.parse_program ~opts ~force_strict src with
+    | p -> Some (Jsast.Printer.program_to_string p)
+    | exception Jsparse.Parser.Syntax_error _ -> None
+  in
+  let accepted = ref 0 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun force_strict ->
+          match print Jsparse.Parser.es5_options ~force_strict src with
+          | None -> ()
+          | Some es5 ->
+              incr accepted;
+              Alcotest.(check (option string))
+                (Printf.sprintf "strict=%b: %s" force_strict src)
+                (Some es5)
+                (print Jsparse.Parser.default_options ~force_strict src))
+        [ false; true ])
+    Lm.Js_corpus.programs;
+  Alcotest.(check bool) "the ES5 profile accepts corpus programs" true
+    (!accepted > 0)
 
 let run_case_share_equals_direct () =
   List.iter
@@ -284,6 +336,9 @@ let suite =
     case "Exec cache equals direct runs on all 102 testbeds"
       exec_cache_equals_direct_sweep;
     case "Exec cache collapses the sweep >=4x" exec_cache_collapses_the_sweep;
+    case "print(1 + 1) runs once per mode across all parse groups"
+      sweep_collapses_across_parse_groups;
+    case "ES5 parses print as the standard parse" es5_parse_prints_as_standard;
     case "run_case: share on/off reports equal" run_case_share_equals_direct;
     case "audit accepts equal paths" audit_accepts_equal_paths;
     case "campaigns are share- and jobs-invariant" campaign_share_invariant;
