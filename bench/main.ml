@@ -1005,6 +1005,19 @@ for (var i = 0; i < 700; i = i + 1) {
 }
 print(o.n + ":" + o.k3);|js}
     );
+    ( "array",
+      {js|var a = [];
+for (var i = 0; i < 300; i = i + 1) { a[i] = (i * 7) % 101; }
+var obs = [];
+var items = [];
+for (var j = 0; j < 300; j = j + 1) {
+  obs[obs.length] = items.push(a[j] + j);
+  a[j] += items[j] % 13;
+}
+var s = 0;
+for (var k = 0; k < 300; k = k + 1) { s = (s + a[k] * obs[k]) % 100003; }
+print(s + ":" + items.length);|js}
+    );
   ]
 
 let interp_bench () =

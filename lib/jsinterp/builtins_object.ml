@@ -78,11 +78,7 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
           (match o.arr with
            | Some a -> List.init a.alen string_of_int
            | None -> [])
-          @ List.filter_map
-              (fun (k, _) ->
-                if String.length k > 1 && k.[0] = '_' && k.[1] = '_' then None
-                else Some k)
-              o.props
+          @ own_keys o
         else Ops.enum_keys ctx o
       in
       Obj (Ops.make_array ctx (List.map str keys)));
@@ -120,13 +116,7 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
       let elems =
         match o.arr with Some a -> List.init a.alen string_of_int | None -> []
       in
-      let named =
-        List.filter_map
-          (fun (k, _) ->
-            if String.length k > 1 && k.[0] = '_' && k.[1] = '_' then None
-            else Some k)
-          o.props
-      in
+      let named = own_keys o in
       let extra = match o.arr with Some _ -> [ "length" ] | None -> [] in
       let keys = elems @ named @ extra in
       let keys =
@@ -296,7 +286,7 @@ let install ctx (object_proto : obj) (object_ctor : obj) : unit =
     | Some a when a.ty = None ->
         a.length_writable <- false;
         if (not seal_only) && not (fire ctx Quirk.Q_freeze_array_elements_writable)
-        then set_own o "__frozenElems" (mkprop ~enumerable:false (Bool true))
+        then a.frozen_elems <- true
     | _ -> ())
   in
 

@@ -16,6 +16,7 @@ let make_typed ctx (ty : typed_kind) (len : int) : obj =
         ty = Some ty;
         length_writable = false;
         min_written = max_int;
+        frozen_elems = false;
       };
   o
 

@@ -102,11 +102,16 @@ let checkpoint (gs : gstate) (q : Quirk.t) : ctx -> bool =
      deterministic under any domain scheduling, and a template object
      journaled by one execution can never serve a stale answer to the
      next.
-   - only plain data properties ([getter = None]) of plain objects
-     ([arr = None], [prim = None] — index/length magic lives on those
-     storages) are cached; prototype loads additionally pin the holder's
-     identity and version. Prototype links are never reassigned after
-     construction, so receiver identity implies holder identity.
+   - only plain data properties ([getter = None]) are cached, and only
+     where the property list is what answers the key. Array and
+     primitive-wrapper storage answer ["length"] and index keys
+     themselves, so a site whose constant key is one of those caches
+     plain objects only; any other key ([ic_named], decided once per site
+     at compile time) reaches [get_plain]/[set_plain] on every receiver,
+     so arrays are cached too — this is what lets [out.push(x)] hit.
+     Prototype loads additionally pin the holder's identity and version.
+     Prototype links are never reassigned after construction, so
+     receiver identity implies holder identity.
 
    A hit replays the generic path's observable effects exactly: it burns
    the 1 fuel [Ops.get]/[Ops.set] burns on entry, and the property-read
@@ -121,16 +126,26 @@ type ic_entry =
   | Ic_proto of int * obj * int * obj * int * prop
       (** gen, receiver, version, holder, holder version, slot *)
 
-type ic = { mutable ic_e : ic_entry }
+type ic = {
+  mutable ic_e : ic_entry;
+  ic_named : bool;  (** the key is neither ["length"] nor an index *)
+}
 
-let ic_cacheable_load (o : obj) (key : string) : ic_entry option =
-  if o.arr <> None || o.prim <> None then None
+let ic_site (key : string) : ic =
+  { ic_e = Ic_empty; ic_named = key <> "length" && array_index_of_key key = None }
+
+(* Does [o]'s property list answer the site's key? *)
+let ic_plain (st : ic) (o : obj) : bool =
+  st.ic_named || (o.arr = None && o.prim = None)
+
+let ic_cacheable_load (st : ic) (o : obj) (key : string) : ic_entry option =
+  if not (ic_plain st o) then None
   else
     match find_own o key with
     | Some p -> if p.getter = None then Some (Ic_own (0, o, o.version, p)) else None
     | None -> (
         match o.proto with
-        | Obj h when h.arr = None && h.prim = None -> (
+        | Obj h when ic_plain st h -> (
             match find_own h key with
             | Some p when p.getter = None ->
                 Some (Ic_proto (0, o, o.version, h, h.version, p))
@@ -154,7 +169,7 @@ let ic_get (st : ic) ctx (recv : value) (key : string) : value =
           p.v
       | _ ->
           let r = Ops.get ctx recv key in
-          (match ic_cacheable_load o key with
+          (match ic_cacheable_load st o key with
           | Some (Ic_own (_, o, v, p)) -> st.ic_e <- Ic_own (ctx.ic_gen, o, v, p)
           | Some (Ic_proto (_, o, v, h, hv, p)) ->
               st.ic_e <- Ic_proto (ctx.ic_gen, o, v, h, hv, p)
@@ -175,7 +190,7 @@ let ic_set (st : ic) ctx ~strict (recv : value) (key : string) (v : value) :
           p.v <- v
       | _ -> (
           Ops.set ctx ~strict recv key v;
-          if o.arr = None then
+          if st.ic_named || o.arr = None then
             match find_own o key with
             | Some p when p.getter = None && p.writable ->
                 st.ic_e <- Ic_own (ctx.ic_gen, o, o.version, p)
@@ -629,7 +644,7 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
           (* specialised method call on a constant key: the method load
              goes through an inline cache *)
           let oc = ce ox in
-          let st = { ic_e = Ic_empty } in
+          let st = ic_site key in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
@@ -681,7 +696,7 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
       let oc = ce ox in
       match prop with
       | Ast.Pfield n when gs.gs_cell <> None ->
-          let st = { ic_e = Ic_empty } in
+          let st = ic_site n in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
@@ -696,8 +711,14 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
-            let key = Ops.to_string ctx (kc ctx fr) in
-            Ops.get ctx ov key)
+            match (ov, kc ctx fr) with
+            | Obj { arr = Some arr; _ }, Num f when is_index f ->
+                (* [Ops.get]'s burn and [get_obj]'s index branch, without
+                   the key's string round trip *)
+                burn ctx 1;
+                let i = Float.to_int f in
+                if i < arr.alen then arr.elems.(i) else Undefined
+            | _, kv -> Ops.get ctx ov (Ops.to_string ctx kv))
   | Ast.Seq (ax, bx) ->
       let ac = ce ax and bc = ce bx in
       fun ctx fr ->
@@ -742,12 +763,16 @@ and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
                 match kv with
                 | Bool true when arr.ty = None && chk_bool ctx ->
                     Ops.array_store ctx o arr arr.alen v
+                | Num f when is_index f ->
+                    (* [Ops.set]'s burn, then [set_obj]'s index branch *)
+                    burn ctx 1;
+                    Ops.set_elem ctx ~strict o arr (Float.to_int f) v
                 | _ -> Ops.set ctx ~strict ov (Ops.to_string ctx kv) v)
             | _ ->
                 let key = Ops.to_string ctx (kc ctx fr) in
                 Ops.set ctx ~strict ov key v)
       | Ast.Pfield key when gs.gs_cell <> None ->
-          let st = { ic_e = Ic_empty } in
+          let st = ic_site key in
           fun ctx fr v ->
             let ov = oc ctx fr in
             ic_set st ctx ~strict ov key v

@@ -34,6 +34,9 @@ let number_to_string (f : float) : string =
   else if f = Float.infinity then "Infinity"
   else if f = Float.neg_infinity then "-Infinity"
   else if f = 0.0 then "0" (* both zeros print "0" *)
+  else if Float.is_integer f && Float.abs f < 0x1p53 then
+    (* exact in an OCaml int; prints the digits "%.0f" would *)
+    string_of_int (Float.to_int f)
   else if Float.is_integer f && Float.abs f < 1e21 then Printf.sprintf "%.0f" f
   else begin
     let rec try_prec p =
@@ -378,21 +381,23 @@ and set_obj ctx ~strict (o : obj) (key : string) (v : value) : unit =
   | Some arr when key = "length" && arr.ty = None -> set_array_length ctx o arr v ~strict
   | Some arr -> (
       match array_index_of_key key with
-      | Some i ->
-          if (not o.extensible) && arr.ty = None && i >= arr.alen then
-            (if strict then type_error ctx "cannot add element to non-extensible array")
-          else if not arr.length_writable && arr.ty = None && i >= arr.alen then
-            (* frozen/sealed array: length fixed *)
-            (if strict then type_error ctx "cannot add property, array is sealed")
-          else if (not (frozen_elements o)) || fire ctx Quirk.Q_freeze_array_elements_writable
-          then array_store ctx o arr i v
-          else if strict then
-            type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
+      | Some i -> set_elem ctx ~strict o arr i v
       | None -> set_plain ctx ~strict o key v)
   | None -> set_plain ctx ~strict o key v
 
-and frozen_elements (o : obj) =
-  match find_own o "__frozenElems" with Some _ -> true | None -> false
+(* [o[i] = v] for a canonical index [i] of array storage [arr]: the index
+   branch of [set_obj], shared with the compiled core's integer-key store,
+   which skips the key's string round trip. *)
+and set_elem ctx ~strict (o : obj) (arr : arr) (i : int) (v : value) : unit =
+  if (not o.extensible) && arr.ty = None && i >= arr.alen then
+    (if strict then type_error ctx "cannot add element to non-extensible array")
+  else if not arr.length_writable && arr.ty = None && i >= arr.alen then
+    (* frozen/sealed array: length fixed *)
+    (if strict then type_error ctx "cannot add property, array is sealed")
+  else if (not arr.frozen_elems) || fire ctx Quirk.Q_freeze_array_elements_writable
+  then array_store ctx o arr i v
+  else if strict then
+    type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
 
 and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
   match find_own o key with
@@ -458,7 +463,7 @@ and enum_keys ctx (o : obj) : string list =
   in
   let named =
     List.filter_map
-      (fun (k, p) -> if p.enumerable && not (String.length k > 1 && k.[0] = '_' && k.[1] = '_') then Some k else None)
+      (fun (k, p) -> if p.enumerable then Some k else None)
       o.props
   in
   elem_keys @ named
@@ -557,6 +562,7 @@ and make_array ctx (vals : value list) : obj =
         ty = None;
         length_writable = true;
         min_written = (if Array.length elems = 0 then max_int else 0);
+        frozen_elems = false;
       };
   o
 

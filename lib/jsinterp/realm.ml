@@ -221,7 +221,8 @@ let check_pristine () : (unit, string) result =
           | None, None -> Ok ()
           | Some x, Some y
             when x.ty = y.ty && x.alen = y.alen
-                 && x.length_writable = y.length_writable ->
+                 && x.length_writable = y.length_writable
+                 && x.frozen_elems = y.frozen_elems ->
               let r = ref (Ok ()) in
               for i = 0 to x.alen - 1 do
                 match !r with

@@ -94,6 +94,9 @@ and arr = {
   mutable length_writable : bool;
   mutable min_written : int;     (** lowest index ever stored; drives the
                                      Hermes relocation cost model *)
+  mutable frozen_elems : bool;   (** [Object.freeze] made the elements
+                                     read-only (lengths are guarded by
+                                     [length_writable] alone) *)
 }
 
 and regex_data = {
@@ -239,6 +242,7 @@ type cow_arr_save = {
   cas_alen : int;
   cas_length_writable : bool;
   cas_min_written : int;
+  cas_frozen_elems : bool;
 }
 
 type cow_save = {
@@ -300,6 +304,7 @@ let cow_save (o : obj) : unit =
               cas_alen = a.alen;
               cas_length_writable = a.length_writable;
               cas_min_written = a.min_written;
+              cas_frozen_elems = a.frozen_elems;
             })
           o.arr;
       cs_prim = o.prim;
@@ -341,6 +346,7 @@ let cow_rollback () : unit =
               a.cas_arr.alen <- a.cas_alen;
               a.cas_arr.length_writable <- a.cas_length_writable;
               a.cas_arr.min_written <- a.cas_min_written;
+              a.cas_arr.frozen_elems <- a.cas_frozen_elems;
               o.arr <- Some a.cas_arr
           | None -> o.arr <- None);
           o.prim <- s.cs_prim;
@@ -462,11 +468,22 @@ let remove_own (o : obj) (k : string) =
 
 let own_keys (o : obj) : string list = List.map fst o.props
 
-(* Canonical array-index interpretation of a property key. *)
+(* Canonical array-index interpretation of a property key. Only a
+   canonical decimal string survives the round trip, and every one starts
+   with a digit, so any other first character answers [None] without the
+   two conversions. *)
 let array_index_of_key (k : string) : int option =
-  match int_of_string_opt k with
-  | Some i when i >= 0 && string_of_int i = k -> Some i
-  | _ -> None
+  if k = "" || k.[0] < '0' || k.[0] > '9' then None
+  else
+    match int_of_string_opt k with
+    | Some i when i >= 0 && string_of_int i = k -> Some i
+    | _ -> None
+
+(* A [Num f] key that is a canonical index: [array_index_of_key] of its
+   string form is [Some (Float.to_int f)] ([-0] prints "0"; below 1e15
+   the printed digits are exact). The compiled core sends such keys
+   straight to array storage. *)
+let is_index (f : float) : bool = Float.is_integer f && f >= 0.0 && f < 1e15
 
 let typed_kind_name = function
   | U8 -> "Uint8Array"

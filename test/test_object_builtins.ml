@@ -35,6 +35,24 @@ let object_tests =
     ("seal blocks delete", {|var o = {a: 1}; Object.seal(o); delete o.a; o.a|}, "1");
     ("isSealed", {|var o = {}; Object.seal(o); Object.isSealed(o)|}, "true");
     ("frozen array elements", {|var a = [1]; Object.freeze(a); a[0] = 9; a[0]|}, "1");
+    (* freezing an array leaves no property behind, and keys starting
+       with "__" are ordinary keys *)
+    ("frozen array: no marker via in",
+     {|var a = [1]; Object.freeze(a); "__frozenElems" in a|}, "false");
+    ("frozen array: no marker via hasOwnProperty",
+     {|var a = [1]; Object.freeze(a); a.hasOwnProperty("__frozenElems")|}, "false");
+    ("frozen array: no marker descriptor",
+     {|var a = [1]; Object.freeze(a); typeof Object.getOwnPropertyDescriptor(a, "__frozenElems")|},
+     "undefined");
+    ("frozen array: own names", {|var a = [1]; Object.freeze(a); Object.getOwnPropertyNames(a)|},
+     "0,length");
+    ("isFrozen array", {|var a = [1]; Object.freeze(a); Object.isFrozen(a)|}, "true");
+    ("sealed array elements writable", {|var a = [1]; Object.seal(a); a[0] = 9; a[0]|}, "9");
+    ("keys with __ prefix", {|Object.keys({__a: 1, b: 2})|}, "__a,b");
+    ("own names with __ prefix", {|Object.getOwnPropertyNames({__a: 1, b: 2})|}, "__a,b");
+    ("for-in with __ prefix",
+     {|var s = ""; for (var k in {__obs: 1, b: 2}) s += k + ";"; s|}, "__obs;b;");
+    ("values with __ prefix", {|Object.values({__a: 1, b: 2})|}, "1,2");
     (* defineProperty *)
     ("defineProperty value", {|var o = {}; Object.defineProperty(o, "k", {value: 7}); o.k|}, "7");
     ("defineProperty default non-writable",

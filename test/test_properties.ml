@@ -140,6 +140,54 @@ let bits_point_ops_agree =
       && Q.Set.equal (Q.Bits.to_set (Q.Bits.remove q b)) (Q.Set.remove q s)
       && Q.Set.equal (Q.Bits.to_set (Q.Bits.singleton q)) (Q.Set.singleton q))
 
+(* --- exact string-conversion shortcuts --- *)
+
+let number_to_string_integral =
+  (* integral floats in ±2^53 print through [string_of_int]; the digits
+     must be the ones "%.0f" prints *)
+  let bound = 1 lsl 53 in
+  QCheck2.Test.make ~count:1000
+    ~name:"number_to_string is %.0f on integral floats within 2^53"
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range (-1000) 1000;
+          int_range (-bound + 1) (bound - 1);
+          map (fun k -> (1 lsl k) - 1) (int_range 1 53);
+          map (fun k -> 1 - (1 lsl k)) (int_range 1 53);
+          oneofl [ bound - 1; -bound + 1; 999_999_999_999_999; 1_000_000_000_000_000 ];
+        ])
+    (fun n ->
+      let f = Float.of_int n in
+      Jsinterp.Ops.number_to_string f = Printf.sprintf "%.0f" f)
+
+let array_index_of_key_unchanged =
+  (* the first-character shortcut may only skip keys the round trip
+     rejects anyway *)
+  let reference k =
+    match int_of_string_opt k with
+    | Some i when i >= 0 && string_of_int i = k -> Some i
+    | _ -> None
+  in
+  let edges =
+    [
+      ""; "-0"; "01"; "+1"; "0x1"; "1_0"; "0"; "-1"; " 1"; "1 "; "1e3"; "0b1";
+      "0o7"; "4294967295"; string_of_int max_int; string_of_int min_int;
+      "4611686018427387904"; "99999999999999999999"; "length"; "__obs";
+    ]
+  in
+  QCheck2.Test.make ~count:1000 ~name:"array_index_of_key matches the round trip"
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl edges;
+          string_size ~gen:(oneofl [ '0'; '1'; '9'; '-'; '+'; 'x'; '_'; 'e'; ' ' ])
+            (int_range 0 6);
+          map string_of_int int;
+          string_printable;
+        ])
+    (fun k -> Jsinterp.Value.array_index_of_key k = reference k)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -154,4 +202,6 @@ let suite =
       bits_mem_agrees;
       bits_algebra_agrees;
       bits_point_ops_agree;
+      number_to_string_integral;
+      array_index_of_key_unchanged;
     ]

@@ -16,6 +16,10 @@
      frozen-name mutation), and the dynamic computed-eval trap that
      re-runs tree-walked mid-campaign (the AST has no [with] statement,
      so the classic fourth trigger cannot occur);
+   - the compiled core's integer-keyed array access and array-receiver
+     inline caches, which the tree-walker does not have: boundary keys,
+     quirked stores and IC invalidation on all testbeds, and each
+     fixture's checkpoints switched on and off in both modes;
    - realm snapshots: builtin mutations must not leak between compiled
      executions (the [Realm] copy is what makes the compiled core fast,
      so its isolation is part of this tentpole's soundness);
@@ -170,6 +174,193 @@ print(f());|}
   Alcotest.(check string) "conforming keeps it frozen" "function\n"
     (Run.run ~resolve:true src).Run.r_output
 
+(* --- integer-keyed array access and array-receiver inline caches --- *)
+
+(* The compiled core sends [Num] keys that are canonical indices straight
+   to array storage, and its inline caches accept arrays for named keys.
+   Each fixture names the boundary it probes and the checkpoints on that
+   boundary; the tree-walker, which keeps the string-keyed path, is the
+   oracle. *)
+let array_fixtures =
+  [
+    ( "numeric keys at the index boundary",
+      {|var a = [10, 20, 30];
+var keys = [-0, 1.5, NaN, "1", "01", 1e15, 1e21, 4294967295, -1, 2, 3, 10000001];
+for (var i = 0; i < keys.length; i++) {
+  var k = keys[i];
+  try { a[k] = "w" + i; print(k + " -> " + a[k]); } catch (e) { print(k + " " + e.name); }
+}
+print(a.length + " " + a[0] + " " + a["-1"] + " " + a["1e+21"] + " " + a[1e15]);
+print(Object.keys(a));|},
+      [] );
+    ( "boolean key on arrays",
+      {|var a = [1, 2];
+a[true] = 3;
+a[false] = 4;
+print(a.length + ":" + a[true] + ":" + a[2] + ":" + a["false"]);
+var t = new Uint8Array(2);
+t[true] = 5;
+print(t.length + ":" + t[true]);|},
+      [ Quirk.Q_bool_prop_appends_to_array ] );
+    ( "typed-array stores past the end",
+      {|var t = new Uint8Array(4);
+for (var i = 0; i < 6; i++) { t[i] = i * 100; }
+print(t[0] + "," + t[3] + "," + t[4] + "," + t.length);
+var f = new Float64Array(2);
+f[1] = 0.5;
+f[-0] = 2;
+print(f[0] + f[1]);|},
+      [ Quirk.Q_typedarray_oob_write_crash ] );
+    ( "frozen, sealed and non-extensible arrays",
+      {|function attempt(what, g) { try { g(); } catch (e) { print(what + " " + e.name); } }
+var f = [1, 2, 3];
+Object.freeze(f);
+attempt("f0", function () { f[0] = 9; });
+attempt("f3", function () { f[3] = 4; });
+attempt("f1++", function () { f[1]++; });
+attempt("f2+=", function () { f[2] += 5; });
+print(f.join(",") + ":" + f.length + ":" + Object.isFrozen(f));
+var s = [1, 2];
+Object.seal(s);
+attempt("s0", function () { s[0] = 7; });
+attempt("s2", function () { s[2] = 8; });
+print(s.join(",") + ":" + s.length);
+var n = [1];
+Object.preventExtensions(n);
+attempt("n0", function () { n[0] = 5; });
+attempt("n1", function () { n[1] = 6; });
+print(n.join(",") + ":" + n.length);
+f[0] = 42;
+print(f[0]);|},
+      [ Quirk.Q_freeze_array_elements_writable ] );
+    ( "string receivers and a countdown fill",
+      {|var s = "hello";
+var acc = "";
+for (var i = -1; i < 7; i++) acc += s[i] + "|";
+print(acc + new String("abc")[1]);
+try { s[0] = "j"; } catch (e) { print(e.name); }
+print(s);
+var r = [];
+for (var j = 60; j >= 0; j--) r[j] = j * 2;
+print(r.length + ":" + r[0] + ":" + r[60]);|},
+      [ Quirk.Q_array_reverse_fill_quadratic ] );
+    ( "compound and update stores",
+      {|var a = [1, 2, 3];
+for (var i = 0; i < 3; i++) { a[i] += 1; a[i]++; ++a[i]; a[i] *= 2; }
+a[5]++;
+a[7] += "x";
+print(a.join(","));
+var o = {};
+o[1] = 1;
+o[1]++;
+print(o[1] + ":" + o["1"]);|},
+      [] );
+    ( "instance push reassigned mid-loop",
+      {|var out = [];
+for (var i = 0; i < 10; i++) {
+  out.push(i);
+  if (i === 4) out.push = function (v) { this[this.length] = -v; return this.length; };
+}
+print(out.join(","));|},
+      [] );
+    ( "Array.prototype.push reassigned mid-loop",
+      {|var out = [];
+var orig = Array.prototype.push;
+for (var i = 0; i < 6; i++) {
+  out.push(i);
+  if (i === 2) Array.prototype.push = function (v) { this[this.length] = v * 10; return this.length; };
+}
+Array.prototype.push = orig;
+out.push(99);
+print(out.join(","));|},
+      [] );
+    ( "getters defined over cached named keys",
+      {|var a = [1, 2];
+a.tag = 1;
+var s = 0;
+for (var i = 0; i < 6; i++) {
+  s = s + a.tag;
+  a.tag = a.tag + 1;
+  if (i === 2) Object.defineProperty(a, "tag", { get: function () { return 100; } });
+}
+print(s + ":" + a.tag);
+var b = [];
+var calls = 0;
+for (var j = 0; j < 4; j++) {
+  b.push(j);
+  if (j === 1)
+    Object.defineProperty(Array.prototype, "push", {
+      get: function () { calls++; return function (v) { return 0; }; }
+    });
+}
+print(b.join(",") + ":" + calls);|},
+      [] );
+    ( "length answered by storage, not by an own property",
+      {|var t = new Uint8Array(3);
+Object.defineProperty(t, "length", { value: 7 });
+var s = 0;
+for (var i = 0; i < 4; i++) s = s + t.length;
+var w = new String("abcd");
+for (var j = 0; j < 4; j++) s = s + w.length;
+var a = [1, 2, 3];
+for (var k = 0; k < 4; k++) { s = s + a.length; a.length = a.length + 1; }
+print(s + ":" + a.length);|},
+      [] );
+    ( "indexed loop running out of fuel",
+      {|var a = [];
+var i = 0;
+while (true) { a[i] = i; i = a[i] + 1; a[a.length] = a[i - 1]; }|},
+      [] );
+  ]
+
+(* tree-walked vs compiled (generic and specialised), field for field *)
+let agree_three_ways tag run =
+  let tree = run ~resolve:false ~specialize:false in
+  results_agree (tag ^ " [generic]") tree (run ~resolve:true ~specialize:false);
+  results_agree (tag ^ " [specialised]") tree
+    (run ~resolve:true ~specialize:true)
+
+let array_fixtures_parity () =
+  List.iter
+    (fun (tag, src, _) ->
+      List.iter
+        (fun tb ->
+          agree_three_ways
+            (tag ^ " @ " ^ Engine.testbed_id tb)
+            (fun ~resolve ~specialize ->
+              Engine.run ~fuel:100_000 ~resolve ~specialize tb src))
+        Engine.all_testbeds)
+    array_fixtures
+
+let array_fixtures_quirk_forks () =
+  (* each fixture's checkpoints, switched on and off explicitly in both
+     modes — the all-testbed sweep need not cover every combination —
+     and the quirk must actually fire, or the fixture misses its path *)
+  List.iter
+    (fun (tag, src, qs) ->
+      List.iter
+        (fun strict ->
+          List.iter
+            (fun quirks ->
+              let tag =
+                Printf.sprintf "%s, strict=%b, %d quirks" tag strict
+                  (List.length quirks)
+              in
+              agree_three_ways tag (fun ~resolve ~specialize ->
+                  Run.run ~quirks:(quirks_of quirks) ~strict ~fuel:100_000
+                    ~resolve ~specialize src);
+              List.iter
+                (fun q ->
+                  Alcotest.(check bool) (tag ^ ": fired") true
+                    (Quirk.Set.mem q
+                       (Run.run ~quirks:(quirks_of quirks) ~strict
+                          ~fuel:100_000 ~resolve:true ~specialize:true src)
+                         .Run.r_fired))
+                quirks)
+            [ []; qs ])
+        [ false; true ])
+    array_fixtures
+
 (* --- static compile classification --- *)
 
 let compile_classifies_programs () =
@@ -273,6 +464,9 @@ let suite =
       corpus_sample_parity_all_testbeds;
     case "deopt fixtures: parity on reference and all testbeds"
       deopt_fixtures_reach_parity;
+    case "array fixtures: parity on all testbeds" array_fixtures_parity;
+    case "array fixtures: quirk forks in both modes"
+      array_fixtures_quirk_forks;
     case "frozen-name mutation quirk forks identically"
       frozen_name_quirk_parity;
     case "compile classifies slotted/deopted programs"

@@ -55,6 +55,9 @@ let corpus =
      print(\"abc\".charAt(-1));\n\
      print((0.1).toFixed(1));";
   ]
+  (* integer-keyed array access and array-receiver inline caches: index
+     boundaries, quirked stores, frozen arrays, IC invalidation *)
+  @ List.map (fun (_, src, _) -> src) Test_resolve.array_fixtures
 
 let check_result_equal id (a : Run.result) (b : Run.result) =
   Alcotest.(check bool) (id ^ ": parsed") a.Run.r_parsed b.Run.r_parsed;
@@ -151,6 +154,20 @@ let counters_engage () =
   Alcotest.(check bool) "rollback restored the template" true
     (Realm.check_pristine () = Ok ())
 
+let array_receiver_ics_hit () =
+  (* the campaign's own idiom: a method load on an array receiver. Array
+     storage cannot answer ["push"], so the site caches arrays too *)
+  let ic0 = Jsinterp.Value.ic_count () in
+  let r =
+    Run.run ~resolve:true ~specialize:true
+      "var out = [];\n\
+       for (var i = 0; i < 20; i++) out.push(i);\n\
+       print(out.length + \":\" + out[19]);"
+  in
+  Alcotest.(check string) "loop output" "20:19\n" r.Run.r_output;
+  Alcotest.(check bool) "inline caches hit on array receivers" true
+    (Jsinterp.Value.ic_count () > ic0)
+
 (* --- the per-case audit passes on real traffic --- *)
 
 let audit_specialize_passes () =
@@ -215,6 +232,7 @@ let suite =
     case "COW sweeps leave the realm pristine" cow_sweep_leaves_realm_pristine;
     case "COW sweeps match generic sweeps" cow_sweep_matches_generic_sweep;
     case "specialisation counters engage" counters_engage;
+    case "inline caches hit on array receivers" array_receiver_ics_hit;
     case "per-case specialise audit passes" audit_specialize_passes;
     case "campaigns are specialisation-invariant"
       campaign_specialize_invariant;
