@@ -239,7 +239,8 @@ type acc = {
   mutable dyn_index : bool;      (* computed member with non-literal key *)
   mutable global_obj : bool;     (* [this] or [globalThis] reachable *)
   mutable coerces : bool;        (* any ToPrimitive-capable construct *)
-  mutable any_func : bool;       (* a user function is defined *)
+  mutable this_func : bool;
+      (* an ordinary function that can observe its [this] is defined *)
   mutable any_loop : bool;
   mutable compound_add : bool;   (* [+=] / [++]-style string append *)
   mutable strict_body : bool;    (* some function body opts into strict *)
@@ -258,6 +259,27 @@ let body_opts_strict (body : stmt list) =
   match body with
   | { s = Expr_stmt { e = Lit (Lstr "use strict"); _ }; _ } :: _ -> true
   | _ -> false
+
+(* Can a call of [f] observe the [this] it is bound to? Only through a
+   [this] in its body (arrows, nested at any depth, read the same binding)
+   or through [eval]. Ordinary functions nested in the body count as well:
+   an over-approximation, which is sound. A [false] answer lets a call
+   site bind [undefined] for a missing receiver without consulting the
+   strict-[this] checkpoint, and the mode cannot show in that binding. *)
+exception Observes
+
+let observes_this (f : func) : bool =
+  let fe (x : expr) =
+    match x.e with This | Ident "eval" -> raise Observes | _ -> ()
+  in
+  match List.iter (Jsast.Visit.iter_stmt ~fe ~fs:ignore) f.body with
+  | () -> false
+  | exception Observes -> true
+
+let visit_func acc (f : func) =
+  if (not f.is_arrow) && (not acc.this_func) && observes_this f then
+    acc.this_func <- true;
+  if body_opts_strict f.body then acc.strict_body <- true
 
 let store_target acc (target : expr) =
   match target.e with
@@ -314,12 +336,9 @@ let visit_expr acc (x : expr) =
           | PN_num _ -> ())
         props
   | Func f ->
-      acc.any_func <- true;
       if f.fname <> None then add acc [ Q.Q_named_funcexpr_binding_mutable ];
-      if body_opts_strict f.body then acc.strict_body <- true
-  | Arrow f ->
-      acc.any_func <- true;
-      if body_opts_strict f.body then acc.strict_body <- true
+      visit_func acc f
+  | Arrow f -> visit_func acc f
   | Array_lit _ | Logical _ | Cond _ | Seq _ -> ()
 
 let visit_stmt acc (st : stmt) =
@@ -328,9 +347,7 @@ let visit_stmt acc (st : stmt) =
   | For_in (k, n, _, _) | For_of (k, n, _, _) ->
       acc.any_loop <- true;
       if k = None then acc.writes <- n :: acc.writes
-  | Func_decl f ->
-      acc.any_func <- true;
-      if body_opts_strict f.body then acc.strict_body <- true
+  | Func_decl f -> visit_func acc f
   | _ -> ()
 
 let checkpoints ?(strict = false) (p : program) : Q.Set.t =
@@ -341,7 +358,7 @@ let checkpoints ?(strict = false) (p : program) : Q.Set.t =
       dyn_index = false;
       global_obj = false;
       coerces = false;
-      any_func = false;
+      this_func = false;
       any_loop = false;
       compound_add = false;
       strict_body = false;
@@ -363,7 +380,9 @@ let checkpoints ?(strict = false) (p : program) : Q.Set.t =
        mode, the program opts in, or some function body does *)
     let strict_possible = strict || p.prog_strict || acc.strict_body in
     if strict_possible then begin
-      if acc.any_func then add acc [ Q.Q_strict_this_is_global ];
+      (* consulted only where a call binds a missing receiver for a
+         callee that can observe it *)
+      if acc.this_func then add acc [ Q.Q_strict_this_is_global ];
       (* an undeclared-assignment consultation needs a write whose target
          resolves to no binding *)
       if List.exists (fun n -> List.mem n free) acc.writes then

@@ -29,6 +29,14 @@ val is_top : Quirkdef.Set.t -> bool
     parse-stage checkpoints all need their own syntax). *)
 val name_top : Quirkdef.Set.t
 
+(** Can a call of the function observe the [this] it is bound to? True
+    when its body, nested functions included, contains [this] or the
+    identifier [eval] — an over-approximation. Both interpreter cores
+    consult the strict-[this] checkpoint, and bind a missing receiver by
+    mode, only for callees where this holds; the analysis adds that
+    checkpoint only when some ordinary function satisfies it. *)
+val observes_this : Jsast.Ast.func -> bool
+
 (** [checkpoints ?strict p] is the static touch-set of [p]. [strict]
     (default [false]) widens the result with the strict-mode-only
     checkpoints; it must be [true] whenever the program may execute under

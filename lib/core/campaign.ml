@@ -209,7 +209,7 @@ let causal_quirks ?(jobs = 1) ?resolve ?reach ?specialize ?cache ?memo
         (* the parse key is derived from the quirk set, so removing a
            parser-level quirk must move the probe to the parse group it
            actually belongs to — clearing the corresponding flag keeps
-           the cache's (front end, mode) invariant intact *)
+           the cache's (parse key, front end) invariant intact *)
         let pk = Engines.Registry.parse_key cfg in
         let pkey =
           {
@@ -695,9 +695,11 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     (* one execution-sharing cache per case, shared by the per-mode-group
        sweeps below: the base parses and their reach analyses run once
        per case instead of once per group. The cache is built and
-       consumed entirely inside this worker call (it is not domain-safe),
-       and classes are keyed by mode, so reports are byte-identical to
-       per-group caches. Lazy: audit cases build their own caches. *)
+       consumed entirely inside this worker call (it is not domain-safe).
+       A strict-mode testbed may inherit a normal-mode execution that
+       reached no mode-dependent point; sharing is exact, so reports are
+       byte-identical to per-group caches. Lazy: audit cases build their
+       own caches. *)
     let case_cache =
       lazy (Engines.Engine.Exec.cache tc.Testcase.tc_source)
     in

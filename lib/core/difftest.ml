@@ -175,9 +175,9 @@ let sweep_case ?(fuel = campaign_fuel) ?share ?resolve ?reach ?specialize
      equivalence classes too (DESIGN.md §8). [cache] lets the campaign
      driver share one cache across this case's several sweeps (one per
      mode group) so the base parses and their reach analyses run once per
-     case, not once per group — classes are keyed by mode, so no
-     execution is ever shared across groups; it must have been built for
-     [tc]'s source, on the calling domain. *)
+     case, not once per group, and a strict-mode testbed can inherit a
+     normal-mode execution that reached no mode-dependent point; it must
+     have been built for [tc]'s source, on the calling domain. *)
   let ec =
     match cache with
     | Some ec -> ec

@@ -93,8 +93,9 @@ type sweep = {
     case's several sweeps (the campaign sweeps each mode group
     separately), so the base parses and reach analyses run once per case;
     it must have been built for [tc]'s source on the calling domain.
-    Classes are keyed by mode, so no execution is shared across groups —
-    the report is byte-identical with or without it. *)
+    A representative that reached no mode-dependent point serves both
+    mode groups; sharing is exact, so the report is byte-identical with
+    or without it. *)
 val sweep_case :
   ?fuel:int ->
   ?share:bool ->

@@ -247,7 +247,7 @@ end
    73 registered quirk checkpoints, so most testbeds are guaranteed to
    replay the reference behaviour byte for byte. [Exec.run] therefore
    executes once per *behavioural equivalence class* — testbeds keyed by
-   (front end, mode, fuel, quirk set ∩ touched checkpoints) — and lets
+   (front end, fuel, quirk set ∩ touched checkpoints) — and lets
    every other member inherit the representative's [Run.result] (output,
    status, fuel, fired), so majority voting and the 2t rule see exactly
    the results a direct sweep would have produced.
@@ -259,6 +259,14 @@ end
    representative that never reparsed ([ex_reparsed = false]) serves
    every parse group on its front end, and one that did serves only
    members of its own parse key.
+
+   The mode is not in the key either. A strict-mode testbed whose front
+   end is the sloppy parse runs the same tree; strictness only shows at
+   the few run-time points that call [Value.touch_mode] (a failed store
+   or delete, an undeclared or frozen-binding assignment, a missing
+   receiver bound for a callee that reads [this]). A representative that
+   reached none of them ([ex_mode_touched = false]) serves both modes, and
+   one that did serves only its own.
 
    Classes are discovered by a split-and-rerun fixpoint: each incoming
    testbed is validated against the representatives found so far, in
@@ -296,6 +304,9 @@ module Exec = struct
     rp_pk : int;
         (* [Registry.pk_int] of the parse key it ran under — consulted
            only when the execution reparsed at run time ([ex_reparsed]) *)
+    rp_strict : bool;
+        (* the mode it ran in — consulted only when the execution reached
+           a mode-dependent point ([ex_mode_touched]) *)
   }
 
   type cell = {
@@ -304,14 +315,12 @@ module Exec = struct
     mutable ce_reps : rep list;
   }
 
-  (* One class table entry, keyed by the physical front end, the mode and
-     the fuel budget (fuel is in the key so a cache survives mixed
-     budgets). A case sees one to three front ends, so the table is a
-     short list compared by [==]: no hashing and no allocation on the
-     lookup path. *)
+  (* One class table entry, keyed by the physical front end and the fuel
+     budget (fuel is in the key so a cache survives mixed budgets). A case
+     sees one to three front ends, so the table is a short list compared
+     by [==]: no hashing and no allocation on the lookup path. *)
   type cls = {
     cl_fe : Run.frontend;
-    cl_strict : bool;
     cl_fuel : int;
     mutable cl_reps : rep list;
     mutable cl_cells : cell list;
@@ -383,7 +392,6 @@ module Exec = struct
               let c =
                 {
                   cl_fe = fe;
-                  cl_strict = strict;
                   cl_fuel = fuel;
                   cl_reps = [];
                   cl_cells = [];
@@ -392,8 +400,7 @@ module Exec = struct
               ec.ec_classes <- c :: ec.ec_classes;
               c
           | c :: tl ->
-              if c.cl_fe == fe && c.cl_strict = strict && c.cl_fuel = fuel
-              then c
+              if c.cl_fe == fe && c.cl_fuel = fuel then c
               else find_cls tl
         in
         let cls = find_cls ec.ec_classes in
@@ -417,13 +424,15 @@ module Exec = struct
             Some (find cls.cl_cells)
           end
         in
-        (* the class condition, plus the runtime-parse guard: an execution
-           that reparsed ([eval]) read its parse options, so it lends its
-           result only within its own parse key *)
+        (* the class condition, plus two guards: an execution that
+           reparsed ([eval]) read its parse options, so it lends its
+           result only within its own parse key, and one that reached a
+           mode-dependent point lends only within its own mode *)
         let pk = Registry.pk_int pkey in
         let matches r =
           Run.shares_class_bits ~qbits r.rp_ex
           && ((not r.rp_ex.Run.ex_reparsed) || r.rp_pk = pk)
+          && ((not r.rp_ex.Run.ex_mode_touched) || r.rp_strict = strict)
         in
         let cell_hit =
           match bucket with
@@ -453,14 +462,14 @@ module Exec = struct
                 Run.share ~frontend:fe ~quirks r.rp_ex
             | None ->
                 (* split: no representative validates this quirk set (and
-                   parse key), so it seeds a new class with a direct
-                   execution *)
+                   parse key and mode), so it seeds a new class with a
+                   direct execution *)
                 let ex =
                   Run.run_exec ~quirks ~parse_opts ~strict ~fuel ?resolve
                     ~reach ?specialize ~frontend:fe
                     (Frontend.source ec.ec_frontend)
                 in
-                let r = { rp_ex = ex; rp_pk = pk } in
+                let r = { rp_ex = ex; rp_pk = pk; rp_strict = strict } in
                 ec.ec_executed <- ec.ec_executed + 1;
                 cls.cl_reps <- cls.cl_reps @ [ r ];
                 (match bucket with

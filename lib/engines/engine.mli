@@ -97,12 +97,13 @@ end
 (** Per-test-case execution-sharing cache, extending {!Frontend} from
     shared parses to shared executions. [run] interprets once per
     behavioural equivalence class — testbeds keyed by (front end run,
-    mode, fuel, quirks ∩ touched checkpoints), across parse groups that
-    share a front end — and every other member inherits the
+    fuel, quirks ∩ touched checkpoints), across parse groups and modes
+    that share a front end — and every other member inherits the
     representative's [Run.result], byte-identical to a direct sweep
     (soundness argument in DESIGN.md §8). A representative that parsed
     source at run time ([eval], [Run.exec.ex_reparsed]) shares only
-    within its own parse key. Classes are found by a bounded
+    within its own parse key, and one that reached a mode-dependent point
+    ([Run.exec.ex_mode_touched]) only within its own mode. Classes are found by a bounded
     split-and-rerun fixpoint validated against each representative's own
     touched set. Mutable, single-domain, tied to one source string, like
     {!Frontend.cache}. *)

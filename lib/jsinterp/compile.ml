@@ -362,10 +362,13 @@ let compile_assign_ident (gs : gstate) (env : R.level list) ~strict
             | Some { R.tg_depth = d; tg_slot = i; tg_frozen } ->
                 if tg_frozen then begin
                   if chk_nfe ctx then (frame_at d fr).slots.(i) := v
-                  else if strict then
-                    Ops.type_error ctx
-                      ("assignment to constant variable " ^ name)
-                  (* sloppy: silent no-op *)
+                  else begin
+                    touch_mode ctx;
+                    if strict then
+                      Ops.type_error ctx
+                        ("assignment to constant variable " ^ name)
+                    (* sloppy: silent no-op *)
+                  end
                 end
                 else (frame_at d fr).slots.(i) := v
             | None -> Interp.assign_ident ctx ctx.global_scope strict name v
@@ -1154,6 +1157,7 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
   end
   else begin
     let strict_f = strict || Interp.body_is_strict f.Ast.body in
+    let observes_this = Analysis.Reach.observes_this f in
     let chk_this = checkpoint gs Quirk.Q_strict_this_is_global in
     (* named function expressions (and declarations) see their own name as
        an immutable binding in a scope of its own *)
@@ -1234,9 +1238,13 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
           | None -> (
               match this with
               | Undefined | Null ->
-                  if strict_f then
-                    if chk_this ctx then Obj ctx.global else Undefined
-                  else Obj ctx.global
+                  if not observes_this then Undefined
+                  else begin
+                    touch_mode ctx;
+                    if strict_f then
+                      if chk_this ctx then Obj ctx.global else Undefined
+                    else Obj ctx.global
+                  end
               | v -> v)
         in
         set_slot frm this_slot (ref this_v);

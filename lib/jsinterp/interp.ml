@@ -29,13 +29,14 @@ let rec scope_of_binding (scope : scope) (name : string) : scope option =
    exhausted --- *)
 
 let ident_read_miss ctx (name : string) : value =
-  if Ops.has_property ctx ctx.global name then Ops.get_obj ctx ctx.global name
-  else Ops.reference_error ctx (name ^ " is not defined")
+  match Ops.find_property ctx ctx.global name with
+  | Some v -> v
+  | None -> Ops.reference_error ctx (name ^ " is not defined")
 
 let ident_typeof_miss ctx (name : string) : value =
-  if Ops.has_property ctx ctx.global name then
-    Str (type_of (Ops.get_obj ctx ctx.global name))
-  else Str "undefined"
+  match Ops.find_property ctx ctx.global name with
+  | Some v -> Str (type_of v)
+  | None -> Str "undefined"
 
 (* Assignment to a bare identifier, resolved against a live scope chain.
    The whole [Ident] arm of [assign_to] lives here so the compiled path's
@@ -48,9 +49,12 @@ let assign_ident ctx (scope : scope) strict (name : string) (v : value) : unit =
           (match Hashtbl.find_opt s.bindings name with
           | Some r -> r := v
           | None -> ())
-        else if strict then
-          Ops.type_error ctx ("assignment to constant variable " ^ name)
-        (* sloppy: silent no-op *)
+        else begin
+          touch_mode ctx;
+          if strict then
+            Ops.type_error ctx ("assignment to constant variable " ^ name)
+          (* sloppy: silent no-op *)
+        end
       end
       else (
         match Hashtbl.find_opt s.bindings name with
@@ -59,11 +63,14 @@ let assign_ident ctx (scope : scope) strict (name : string) (v : value) : unit =
   | None ->
       if Ops.has_property ctx ctx.global name then
         Ops.set_obj ctx ~strict ctx.global name v
-      else if strict then
-        if fire ctx Quirk.Q_strict_undeclared_assign_silent then
-          Ops.set_obj ctx ~strict:false ctx.global name v
-        else Ops.reference_error ctx (name ^ " is not defined")
-      else Ops.set_obj ctx ~strict:false ctx.global name v
+      else begin
+        touch_mode ctx;
+        if strict then
+          if fire ctx Quirk.Q_strict_undeclared_assign_silent then
+            Ops.set_obj ctx ~strict:false ctx.global name v
+          else Ops.reference_error ctx (name ^ " is not defined")
+        else Ops.set_obj ctx ~strict:false ctx.global name v
+      end
 
 (* --- do any binder positions shadow [undefined]/[NaN]/[Infinity]? ---
 
@@ -230,6 +237,7 @@ let make_function ctx ?(name = "") ?(this_lex = None) ?(node_id = 0) ~strict
            cl_scope = fn_scope;
            cl_this = this_lex;
            cl_strict = strict;
+           cl_observes_this = lazy (Analysis.Reach.observes_this f);
            cl_binding = binding;
            cl_node_id = node_id;
          });
@@ -273,17 +281,23 @@ let rec call_function ctx (fn : value) (this : value) (args : value list) : valu
           let v = match List.nth_opt args i with Some v -> v | None -> Undefined in
           Hashtbl.replace scope.bindings p (ref v))
         cl.cl_params;
-      (* [this] *)
+      (* [this]: a missing receiver binds by mode, but only a callee that
+         can observe its [this] needs the answer *)
       let this_v =
         match cl.cl_this with
         | Some lexical -> lexical
         | None -> (
             match this with
             | Undefined | Null ->
-                if strict then
-                  if fire ctx Quirk.Q_strict_this_is_global then Obj ctx.global
-                  else Undefined
-                else Obj ctx.global
+                if not (Lazy.force cl.cl_observes_this) then Undefined
+                else begin
+                  touch_mode ctx;
+                  if strict then
+                    if fire ctx Quirk.Q_strict_this_is_global then
+                      Obj ctx.global
+                    else Undefined
+                  else Obj ctx.global
+                end
             | v -> v)
       in
       Hashtbl.replace scope.bindings "this" (ref this_v);

@@ -276,6 +276,25 @@ and has_property ctx (o : obj) (key : string) : bool =
       | None -> (
           match o.proto with Obj parent -> has_property ctx parent key | _ -> false))
 
+(* [has_property] and [get_obj] in one walk: [Some (get_obj ctx o key)]
+   when [has_property ctx o key], else [None]. Plain objects walk their
+   chain once; array and string-wrapper storage, where the two disagree
+   on some keys, keeps the two calls. *)
+and find_property ctx (o : obj) (key : string) : value option =
+  match (o.arr, o.prim) with
+  | Some _, _ | None, Some (Str _) ->
+      if has_property ctx o key then Some (get_obj ctx o key) else None
+  | None, _ -> (
+      match find_own o key with
+      | Some p -> (
+          match p.getter with
+          | Some g when is_callable g -> Some (ctx.call_hook ctx g (Obj o) [])
+          | _ -> Some p.v)
+      | None -> (
+          match o.proto with
+          | Obj parent -> find_property ctx parent key
+          | _ -> None))
+
 and has_own ctx (o : obj) (key : string) : bool =
   ignore ctx;
   match o.arr with
@@ -313,12 +332,13 @@ and array_store ctx (o : obj) (arr : arr) (i : int) (v : value) : unit =
       end;
       if i >= arr.alen then arr.alen <- i + 1;
       (* Hermes relocation model: writing below every previously-written
-         index relocates the array — cost proportional to its length. *)
-      if i < arr.min_written then begin
+         index relocates the array — cost proportional to its length. The
+         first store into an empty array writes below nothing. *)
+      if arr.min_written = max_int then arr.min_written <- i
+      else if i < arr.min_written then begin
         if fire ctx Quirk.Q_array_reverse_fill_quadratic then burn ctx (arr.alen / 4 + 1);
         arr.min_written <- i
-      end
-      else if arr.min_written = max_int then arr.min_written <- i;
+      end;
       arr.elems.(i) <- v);
   ignore o
 
@@ -350,6 +370,7 @@ and coerce_typed ctx (ty : typed_kind) (v : value) : value =
 and set_array_length ctx (o : obj) (arr : arr) (v : value) ~strict : unit =
   barrier o;
   if not arr.length_writable then begin
+    touch_mode ctx;
     if strict then type_error ctx "cannot assign to read only property 'length'"
   end
   else begin
@@ -373,6 +394,7 @@ and set ctx ~strict (target : value) (key : string) (v : value) : unit =
   | Str _ | Num _ | Bool _ ->
       (* property sets on primitives are silently dropped (sloppy) or throw
          (strict) *)
+      touch_mode ctx;
       if strict then type_error ctx "cannot create property on primitive"
   | Obj o -> set_obj ctx ~strict o key v
 
@@ -389,15 +411,22 @@ and set_obj ctx ~strict (o : obj) (key : string) (v : value) : unit =
    branch of [set_obj], shared with the compiled core's integer-key store,
    which skips the key's string round trip. *)
 and set_elem ctx ~strict (o : obj) (arr : arr) (i : int) (v : value) : unit =
-  if (not o.extensible) && arr.ty = None && i >= arr.alen then
-    (if strict then type_error ctx "cannot add element to non-extensible array")
-  else if not arr.length_writable && arr.ty = None && i >= arr.alen then
+  if (not o.extensible) && arr.ty = None && i >= arr.alen then begin
+    touch_mode ctx;
+    if strict then type_error ctx "cannot add element to non-extensible array"
+  end
+  else if not arr.length_writable && arr.ty = None && i >= arr.alen then begin
     (* frozen/sealed array: length fixed *)
-    (if strict then type_error ctx "cannot add property, array is sealed")
+    touch_mode ctx;
+    if strict then type_error ctx "cannot add property, array is sealed"
+  end
   else if (not arr.frozen_elems) || fire ctx Quirk.Q_freeze_array_elements_writable
   then array_store ctx o arr i v
-  else if strict then
-    type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
+  else begin
+    touch_mode ctx;
+    if strict then
+      type_error ctx (Printf.sprintf "cannot assign to read only element %d" i)
+  end
 
 and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
   match find_own o key with
@@ -406,8 +435,11 @@ and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
         barrier o;
         p.v <- v
       end
-      else if strict then
-        type_error ctx (Printf.sprintf "cannot assign to read only property '%s'" key)
+      else begin
+        touch_mode ctx;
+        if strict then
+          type_error ctx (Printf.sprintf "cannot assign to read only property '%s'" key)
+      end
   | None -> (
       (* setter-less prototype walk: a non-writable prototype prop blocks *)
       let rec proto_blocks (pv : value) =
@@ -418,12 +450,16 @@ and set_plain ctx ~strict (o : obj) (key : string) (v : value) : unit =
             | None -> proto_blocks parent.proto)
         | _ -> false
       in
-      if proto_blocks o.proto then (
+      if proto_blocks o.proto then begin
+        touch_mode ctx;
         if strict then
-          type_error ctx (Printf.sprintf "cannot assign to read only property '%s'" key))
-      else if not o.extensible then (
+          type_error ctx (Printf.sprintf "cannot assign to read only property '%s'" key)
+      end
+      else if not o.extensible then begin
+        touch_mode ctx;
         if strict then
-          type_error ctx (Printf.sprintf "cannot add property '%s', object is not extensible" key))
+          type_error ctx (Printf.sprintf "cannot add property '%s', object is not extensible" key)
+      end
       else set_own o key (mkprop v))
 
 and delete ctx ~strict (o : obj) (key : string) : bool =
@@ -443,9 +479,12 @@ and delete ctx ~strict (o : obj) (key : string) : bool =
             remove_own o key;
             true
           end
-          else if strict then
-            type_error ctx (Printf.sprintf "cannot delete property '%s'" key)
-          else false)
+          else begin
+            touch_mode ctx;
+            if strict then
+              type_error ctx (Printf.sprintf "cannot delete property '%s'" key)
+            else false
+          end)
 
 (* enumerable own keys, insertion-ordered, elements first (integer order) —
    the modern property order. *)

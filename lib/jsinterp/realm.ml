@@ -84,6 +84,7 @@ let build () : t =
       ic_gen = 0;
       ihits = 0;
       reparsed = false;
+      mode_touched = false;
     }
   in
   Builtins.install ctx;

@@ -327,6 +327,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       ic_gen = Atomic.fetch_and_add Value.ic_gen_counter 1;
       ihits = 0;
       reparsed = false;
+      mode_touched = false;
     }
   in
   (match snap with
@@ -473,6 +474,11 @@ type exec = {
       (** the execution parsed source at run time ([eval]) and so read
           the engine's parse options; [false] proves the run independent
           of them *)
+  ex_mode_touched : bool;
+      (** the execution reached a point where strict mode changes
+          behaviour ([Value.touch_mode]), or reparsed, or never ran (a
+          parse failure); [false] proves a run in the other mode, on the
+          same program, takes the same steps *)
 }
 
 let run_exec ?(quirks = Quirk.Set.empty)
@@ -515,6 +521,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
         ex_fired = lazy Quirk.Set.empty;
         ex_touched = lazy Quirk.Set.empty;
         ex_reparsed = false;
+        ex_mode_touched = true;
       }
   | Ok prog ->
       Atomic.incr runs;
@@ -645,6 +652,7 @@ let run_exec ?(quirks = Quirk.Set.empty)
           ex_fired;
           ex_touched;
           ex_reparsed = ctx.Value.reparsed;
+          ex_mode_touched = ctx.Value.mode_touched || ctx.Value.reparsed;
         }
       in
       (* the result captured everything it needs as immutable copies; the

@@ -236,6 +236,11 @@ type exec = {
           runtime reader of the effective parse options. When [false],
           the result is independent of those options, so engines with
           different parse options but the same front end can share it *)
+  ex_mode_touched : bool;
+      (** the execution reached a point where strict mode changes
+          behaviour ([Value.touch_mode]), reparsed, or failed to parse.
+          When [false], a run of the same program in the other mode takes
+          the same steps, so it can share the result across modes *)
 }
 
 (** Like {!run}, but keep the sharing evidence. [run] is [ex_result]. *)
@@ -257,9 +262,9 @@ val run_exec :
     checkpoint in [ex_touched]. The check is self-validating: agreeing on
     every consulted checkpoint forces identical control flow, so a member
     cannot reach a checkpoint the representative did not touch. Callers
-    must also match the front end (the parsed program), the mode and the
-    fuel budget, plus the effective parse options when [ex_reparsed] — see
-    [Engines.Engine.Exec]. *)
+    must also match the front end (the parsed program) and the fuel
+    budget, plus the mode when [ex_mode_touched] and the effective parse
+    options when [ex_reparsed] — see [Engines.Engine.Exec]. *)
 val shares_class : quirks:Quirk.Set.t -> exec -> bool
 
 (** {!shares_class} on packed quirk words ([Quirk.Bits.of_set quirks]) —

@@ -68,6 +68,9 @@ and closure = {
   cl_scope : scope;
   cl_this : value option;  (** [Some v] for arrows: lexically captured *)
   cl_strict : bool;
+  cl_observes_this : bool Lazy.t;
+      (** [Analysis.Reach.observes_this] of the body, forced at the first
+          call that has no receiver *)
   cl_binding : value ref option;
       (** named function expressions bind their own name; kept so the
           [Q_named_funcexpr_binding_mutable] quirk can corrupt it *)
@@ -168,6 +171,11 @@ and ctx = {
           reader of [parse_opts]; until then the run cannot depend on
           the engine's parse options, so the execution-sharing layer may
           lend it across parse groups *)
+  mutable mode_touched : bool;
+      (** the execution reached a point whose behaviour depends on strict
+          mode ([touch_mode]); until then a normal-mode and a strict-mode
+          run of one program take the same steps, so the execution-sharing
+          layer may lend the run across modes *)
 }
 
 let proto_of ctx name =
@@ -441,6 +449,13 @@ let touch_fire ctx q =
     ctx.t_hi <- ctx.t_hi lor m;
     ctx.f_hi <- ctx.f_hi lor m
   end
+
+(* Record that execution reached a point where strict mode changes
+   behaviour: a silent failure in normal mode is a TypeError in strict, an
+   undeclared assignment creates a global or throws, a missing receiver
+   binds the global object or [undefined]. Called before the branch on
+   the mode, so both modes record it. *)
+let touch_mode ctx = ctx.mode_touched <- true
 
 (* The packed-word views of a context's recording fields. *)
 let fired_bits ctx : Quirk.Bits.t = (ctx.f_lo, ctx.f_hi)

@@ -46,6 +46,10 @@ foo(-634619);|};
     {|var s = ""; for (var i = 0; i < 200; i++) s += "x";
 print(s.length);|};
     {|"use strict"; function f() { return this; } print(f() === undefined);|};
+    (* a callee that never reads [this] does not consult the strict-this
+       site; one that reads it through a nested arrow does *)
+    "function f(a) { return a; } print(f(1));";
+    "function f() { return (() => this)(); } print(f() === undefined);";
   ]
 
 let sound_on_every_frontend () =
@@ -122,6 +126,25 @@ let strict_widens () =
            (Reach.checkpoints_src src)
            (Reach.checkpoints_src ~strict:true src)))
     corpus
+
+let strict_this_needs_an_observer () =
+  (* [Q_strict_this_is_global] is reachable only through a function that
+     can observe its [this] ([Reach.observes_this]) *)
+  let has src =
+    Quirk.Set.mem Quirk.Q_strict_this_is_global
+      (Reach.checkpoints_src ~strict:true src)
+  in
+  Alcotest.(check bool) "callee ignores this" false
+    (has "function f(a){return a} f(1)");
+  Alcotest.(check bool) "callee returns this" true
+    (has "function f(a){return this} f(1)");
+  Alcotest.(check bool) "arrow reads this at top level" false
+    (has "var g = () => this; g();");
+  Alcotest.(check bool) "nested arrow reads the callee's this" true
+    (has "function f() { return (() => this)(); } f();");
+  Alcotest.(check bool) "sloppy analysis never adds it" false
+    (Quirk.Set.mem Quirk.Q_strict_this_is_global
+       (Reach.checkpoints_src "function f(a){return this} f(1)"))
 
 let compiler_folds_unreachable_sites () =
   let prog s =
@@ -307,6 +330,8 @@ let suite =
     case "precision floor: ordinary programs narrow" precision_floor;
     case "eval collapses to top" dynamic_constructs_are_top;
     case "strict analysis widens the sloppy one" strict_widens;
+    case "strict this needs a callee that observes it"
+      strict_this_needs_an_observer;
     case "compiler folds statically-unreachable sites"
       compiler_folds_unreachable_sites;
     case "an unsound fold deopts to the tree" deopt_escape_hatch;

@@ -361,6 +361,48 @@ let array_fixtures_quirk_forks () =
         [ false; true ])
     array_fixtures
 
+(* --- global identifier reads ---
+
+   A name that resolves to no binding is read from the global object in
+   one walk of its property chain ([Ops.find_property]). Getters must run
+   exactly once per read, [typeof] of a missing name must not throw, and
+   fuel must not move. *)
+let global_read_fixtures =
+  [
+    ( "a global getter",
+      {|var calls = 0;
+Object.defineProperty(this, "tick", { get: function () { calls = calls + 1; return calls * 10; } });
+print(tick + tick);
+print(typeof tick);
+print(calls);|} );
+    ( "a missing global under typeof",
+      {|print(typeof nowhere);
+print(typeof Math + ":" + typeof Math.abs);
+try { print(nowhere); } catch (e) { print(e.name); }|} );
+    ( "a Math.abs loop",
+      {|var s = 0;
+for (var i = -50; i < 50; i++) s = s + Math.abs(i);
+print(s);|} );
+  ]
+
+let global_read_fixtures_parity () =
+  List.iter
+    (fun (tag, src) ->
+      let tree = Run.run ~coverage:true ~resolve:false src in
+      results_agree tag tree (Run.run ~coverage:true ~resolve:true src);
+      Alcotest.(check string) (tag ^ ": runs to completion") "normal"
+        (Run.status_to_string tree.Run.r_status);
+      List.iter
+        (fun tb ->
+          agree_three_ways
+            (tag ^ " @ " ^ Engine.testbed_id tb)
+            (fun ~resolve ~specialize ->
+              Engine.run ~fuel:100_000 ~resolve ~specialize tb src))
+        Engine.all_testbeds)
+    global_read_fixtures;
+  Alcotest.(check string) "getter output" "30\nnumber\n3\n"
+    (Run.run (snd (List.hd global_read_fixtures))).Run.r_output
+
 (* --- static compile classification --- *)
 
 let compile_classifies_programs () =
@@ -467,6 +509,8 @@ let suite =
     case "array fixtures: parity on all testbeds" array_fixtures_parity;
     case "array fixtures: quirk forks in both modes"
       array_fixtures_quirk_forks;
+    case "global identifier reads: parity on all testbeds"
+      global_read_fixtures_parity;
     case "frozen-name mutation quirk forks identically"
       frozen_name_quirk_parity;
     case "compile classifies slotted/deopted programs"

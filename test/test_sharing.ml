@@ -9,8 +9,10 @@
      exact situation where predicting reachability instead of observing
      it would be unsound;
    - [Engine.Exec] vs direct [Engine.run] over all 102 testbeds,
-     field-wise, plus the executed/shared accounting and the >=4x
-     execution reduction the bench records;
+     field-wise and in both testbed orders, plus the executed/shared
+     accounting and the >=4x execution reduction the bench records;
+   - sharing across modes: one fixture per mode-dependent point, each of
+     which must keep its representative's result inside its own mode;
    - [Difftest.run_case] and full [Campaign.run]s with sharing on vs off
      at 1 and 4 jobs, byte-identical reports throughout;
    - the audit mode accepting a clean sample. *)
@@ -105,13 +107,52 @@ let run_count_counts_real_executions () =
   Alcotest.(check int) "a parse failure is no execution" (before + 1)
     (Run.run_count ())
 
+(* One fixture per run-time point that calls [Value.touch_mode]. Each
+   behaves differently in the two modes, so a representative that reached
+   it must not lend its result to the other mode. The last one reaches the
+   tree-walker's [this] binding: the write to [g] never runs, but it deopts
+   the function. *)
+let mode_touch_sources =
+  [
+    ("undeclared assignment", "undeclared = 5; print(undeclared);");
+    ( "read-only property write",
+      {|var o = {}; Object.defineProperty(o, "x", { value: 1 });
+o.x = 2; print(o.x);|} );
+    ( "write blocked by a read-only prototype property",
+      {|var p = {}; Object.defineProperty(p, "x", { value: 1 });
+var o = Object.create(p); o.x = 2; print(o.x);|} );
+    ( "new property on a non-extensible object",
+      "var o = Object.preventExtensions({}); o.y = 1; print(o.y);" );
+    ( "read-only array length",
+      "var a = Object.freeze([1, 2]); a.length = 0; print(a.length);" );
+    ( "frozen array element",
+      "var a = Object.freeze([1, 2]); a[0] = 9; print(a[0]);" );
+    ( "growth past a fixed array length",
+      {|var a = [1]; Object.defineProperty(a, "length", { writable: false });
+a[3] = 1; print(a.length);|} );
+    ( "growth of a non-extensible array",
+      "var a = Object.seal([1]); a[3] = 1; print(a.length);" );
+    ("primitive property store", {|var s = "abc"; s.foo = 1; print(s.foo);|});
+    ( "non-configurable delete",
+      {|var o = {}; Object.defineProperty(o, "k", { value: 1 });
+print(delete o.k);|} );
+    ( "named function expression self-assign",
+      "var f = function g() { g = 1; return typeof g; }; print(f());" );
+    ( "plain call of a callee that reads this",
+      "function f() { return this === undefined; } print(f());" );
+    ( "plain call of a deopted callee that reads this",
+      {|var f = function g() { if (false) g = 1; return this === undefined; };
+print(f());|} );
+  ]
+
 (* the §5.2-flavoured sources the sweep-level checks run: plain code, the
    steering program above, quirk-rich builtin traffic, a thrown error, a
    parse-stage quirk trigger, and strict-only behaviour — then four
    runtime parses, whose outcome depends on the engine's parse options
    (a parser quirk's acceptance or the ES5 profile's rejections) without
    any checkpoint recording it: direct and indirect [eval] must keep a
-   representative's result inside its own parse key *)
+   representative's result inside its own parse key — and the mode-touch
+   fixtures above *)
 let sweep_sources =
   [
     "print(1 + 1);";
@@ -131,8 +172,13 @@ catch (e) { print(e.name); }|};
 catch (e) { print(e.name); }|};
     {|try { eval("let x = 3; print(x * 2);"); } catch (e) { print(e.name); }|};
   ]
+  @ List.map snd mode_touch_sources
 
-let exec_cache_equals_direct_sweep () =
+(* Field-wise equality of every testbed's shared and direct result, with
+   the testbeds visited in [order]: [Engine.all_testbeds] puts each
+   configuration's normal testbed first, so only the reverse order has
+   strict-mode representatives lend to normal-mode members. *)
+let exec_cache_equals_direct_in order =
   List.iter
     (fun src ->
       let ec = Engine.Exec.cache src in
@@ -140,7 +186,11 @@ let exec_cache_equals_direct_sweep () =
         (fun (tb : Engine.testbed) ->
           let direct = Engine.run ~fuel:100_000 tb src in
           let shared = Engine.Exec.run ~fuel:100_000 ec tb in
-          let id = Engine.testbed_id tb in
+          let id =
+            Printf.sprintf "%S @ %s"
+              (String.sub src 0 (min 40 (String.length src)))
+              (Engine.testbed_id tb)
+          in
           Alcotest.(check bool) (id ^ " parsed") direct.Run.r_parsed
             shared.Run.r_parsed;
           Alcotest.(check (option string)) (id ^ " parse error")
@@ -156,13 +206,107 @@ let exec_cache_equals_direct_sweep () =
             (Quirk.Set.equal direct.Run.r_fired shared.Run.r_fired);
           Alcotest.(check bool) (id ^ " touched") true
             (Quirk.Set.equal direct.Run.r_touched shared.Run.r_touched))
-        Engine.all_testbeds;
+        order;
       (* the reference engine joins the same cache *)
       let ref_direct = Engine.run_reference ~fuel:100_000 src in
       let ref_shared = Engine.Exec.run_reference ~fuel:100_000 ec in
       Alcotest.(check string) "reference output" ref_direct.Run.r_output
         ref_shared.Run.r_output)
     sweep_sources
+
+let exec_cache_equals_direct_sweep () =
+  exec_cache_equals_direct_in Engine.all_testbeds;
+  exec_cache_equals_direct_in (List.rev Engine.all_testbeds)
+
+let mode_touch_fixtures_reach_their_point () =
+  (* each fixture's two modes differ on the reference engine, and the
+     execution records the mode-dependent point; plain code records none *)
+  let signature strict src =
+    let r = Run.run ~strict ~fuel:100_000 src in
+    Run.status_to_string r.Run.r_status ^ "|" ^ r.Run.r_output
+  in
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check bool) (name ^ ": modes differ") true
+        (signature false src <> signature true src);
+      List.iter
+        (fun strict ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: mode touched (strict=%b)" name strict)
+            true
+            (Run.run_exec ~strict ~fuel:100_000 src).Run.ex_mode_touched)
+        [ false; true ])
+    mode_touch_sources;
+  Alcotest.(check bool) "plain code: mode untouched" false
+    (Run.run_exec ~fuel:100_000 "print(1 + 1);").Run.ex_mode_touched;
+  Alcotest.(check bool) "callee that ignores this: mode untouched" false
+    (Run.run_exec ~strict:true ~fuel:100_000
+       "function f(a) { return a; } print(f(1));")
+      .Run.ex_mode_touched
+
+let strict_this_still_fires () =
+  (* fix 1 only skips callees that cannot observe [this]; one that can
+     still consults the checkpoint, through the sharing cache too *)
+  let src = "function f() { return this; } print(f() === undefined);" in
+  let quirked =
+    List.filter
+      (fun (tb : Engine.testbed) ->
+        tb.Engine.tb_mode = Engine.Strict
+        && Quirk.Set.mem Quirk.Q_strict_this_is_global
+             tb.Engine.tb_config.Engines.Registry.cfg_quirks)
+      Engine.all_testbeds
+  in
+  Alcotest.(check bool) "some strict testbed has the quirk" true
+    (quirked <> []);
+  let ec = Engine.Exec.cache src in
+  List.iter
+    (fun tb ->
+      let via_cache = Engine.Exec.run ~fuel:100_000 ec tb in
+      List.iter
+        (fun (tag, (r : Run.result)) ->
+          let tag = Engine.testbed_id tb ^ " " ^ tag in
+          Alcotest.(check string) (tag ^ ": output") "false\n" r.Run.r_output;
+          Alcotest.(check bool) (tag ^ ": fired") true
+            (Quirk.Set.mem Quirk.Q_strict_this_is_global r.Run.r_fired))
+        [ ("direct", Engine.run ~fuel:100_000 tb src); ("shared", via_cache) ])
+    quirked;
+  Alcotest.(check string) "conforming strict engine" "true\n"
+    (Run.run ~strict:true src).Run.r_output
+
+let reverse_fill_first_store () =
+  (* the relocation-cost checkpoint fires on a store below every earlier
+     store, not on the first store into an empty array *)
+  let q = quirks_of [ Quirk.Q_array_reverse_fill_quadratic ] in
+  let first = "var a = []; a[a.length] = 1; a[5] = 2; print(a.length);" in
+  let countdown =
+    "var r = []; for (var j = 40; j >= 0; j--) r[j] = j; print(r.length);"
+  in
+  List.iter
+    (fun resolve ->
+      let run quirks src = Run.run ~quirks ~fuel:100_000 ~resolve src in
+      let tag = Printf.sprintf "resolve=%b" resolve in
+      let plain = run Quirk.Set.empty first and quirked = run q first in
+      Alcotest.(check bool) (tag ^ ": first store does not fire") false
+        (Quirk.Set.mem Quirk.Q_array_reverse_fill_quadratic
+           quirked.Run.r_fired);
+      Alcotest.(check bool) (tag ^ ": nor consult") false
+        (Quirk.Set.mem Quirk.Q_array_reverse_fill_quadratic
+           quirked.Run.r_touched);
+      Alcotest.(check int) (tag ^ ": nor burn") plain.Run.r_fuel_used
+        quirked.Run.r_fuel_used;
+      let plain = run Quirk.Set.empty countdown and quirked = run q countdown in
+      Alcotest.(check bool) (tag ^ ": countdown fires") true
+        (Quirk.Set.mem Quirk.Q_array_reverse_fill_quadratic
+           quirked.Run.r_fired);
+      Alcotest.(check bool) (tag ^ ": and burns") true
+        (quirked.Run.r_fuel_used > plain.Run.r_fuel_used))
+    [ false; true ];
+  (* the two cores burn the same on the countdown *)
+  let fuel resolve =
+    (Run.run ~quirks:q ~fuel:100_000 ~resolve countdown).Run.r_fuel_used
+  in
+  Alcotest.(check int) "countdown fuel, tree = compiled" (fuel false)
+    (fuel true)
 
 let exec_cache_collapses_the_sweep () =
   (* the acceptance bar: across a full 102-testbed sweep, at least 4x
@@ -190,17 +334,18 @@ let exec_cache_collapses_the_sweep () =
       {|print([3,1,2].sort()); print("x".charAt(-1));|} ]
 
 let sweep_collapses_across_parse_groups () =
-  (* a program that neither parses at run time nor consults a checkpoint
-     runs once per mode: every parse group, ES5 included, shares the
-     standard base front end and hence its execution classes *)
+  (* a program that neither parses at run time, nor consults a checkpoint,
+     nor reaches a mode-dependent point runs once for the whole sweep:
+     every parse group, ES5 included, shares the standard base front end
+     and hence its execution classes, in both modes *)
   let ec = Engine.Exec.cache "print(1 + 1);" in
   List.iter
     (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ec tb))
     Engine.all_testbeds;
   let executed, shared = Engine.Exec.stats ec in
-  Alcotest.(check int) "one execution per mode" 2 executed;
+  Alcotest.(check int) "one execution for both modes" 1 executed;
   Alcotest.(check int) "every other testbed shares"
-    (List.length Engine.all_testbeds - 2)
+    (List.length Engine.all_testbeds - 1)
     shared
 
 let es5_parse_prints_as_standard () =
@@ -335,8 +480,13 @@ let suite =
     case "run_count counts real executions" run_count_counts_real_executions;
     case "Exec cache equals direct runs on all 102 testbeds"
       exec_cache_equals_direct_sweep;
+    case "mode-touch fixtures reach their point"
+      mode_touch_fixtures_reach_their_point;
+    case "strict this still fires where observable" strict_this_still_fires;
+    case "reverse fill: the first store is no relocation"
+      reverse_fill_first_store;
     case "Exec cache collapses the sweep >=4x" exec_cache_collapses_the_sweep;
-    case "print(1 + 1) runs once per mode across all parse groups"
+    case "print(1 + 1) runs once per sweep, across modes and parse groups"
       sweep_collapses_across_parse_groups;
     case "ES5 parses print as the standard parse" es5_parse_prints_as_standard;
     case "run_case: share on/off reports equal" run_case_share_equals_direct;
