@@ -6,10 +6,10 @@
    multiplier to run longer campaigns (default 1).
 
    Set COMFORT_JOBS=N to run every campaign in here on N worker domains;
-   results are identical at any job count. `campaign` measures throughput
-   in all four (execution sharing on/off) x (1 job / N jobs) combinations
-   — counting real interpreter executions per case either way — and
-   writes BENCH_campaign.json.
+   results are identical at any job count. `campaign` measures the
+   production campaign at 1 and N jobs and in worker processes, sweeps the
+   same cases through the reference oracle — counting real interpreter
+   executions per case either way — and writes BENCH_campaign.json.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table2     # one experiment
@@ -534,36 +534,40 @@ let ablate () =
 
 (* ---------- campaign throughput (parallel executor) ---------- *)
 
-(* End-to-end campaign wall-clock against the full 102-testbed setup,
-   across the (execution sharing on/off) x (slot compilation on/off) x
-   (static reach analysis on/off) x (quirk specialisation on/off) x
-   (1 job / N jobs) grid. Verifies on the way that every combination
-   found the same discoveries in the same order (the executor's ordering
-   guarantee, the sharing soundness argument of DESIGN.md §8, the
-   compilation parity argument of §9, the reach invariance argument of
-   §11, and the specialisation invisibility argument of §12), counts
-   real interpreter executions via [Run.run_count] to report
-   executions-per-case — the reach and specialize rows must execute
-   exactly as often as the share+resolve row, since neither changes a
-   sharing decision — records the whole-pipeline profile per row via
-   [Run.Stage]/[Metrics.profile]: the disjoint pipeline stages
-   (generate / screen / sweep / vote / attr / reduce / fold) with wall
-   ns and allocated bytes each, the nested interpreter substages
-   (parse / compile / realm-install / execute), the total driver-domain
-   allocation, and the unaccounted residual — then emits the numbers as
-   machine-readable BENCH_campaign.json for CI and EXPERIMENTS.md.
-   Gates: every jobs=1 row must account for >= 90% of its wall clock,
-   and the production row must stay within the allocation budget.
+(* End-to-end campaign wall clock against the full 102-testbed setup, in
+   three rows:
+
+   - production: [Campaign.run] at 1 job (and at N jobs when the host has
+     the cores), with the whole-pipeline profile per row via
+     [Run.Stage]/[Metrics.profile] — the disjoint pipeline stages
+     (generate / screen / sweep / vote / attr / reduce / fold) with wall ns
+     and allocated bytes each, the nested interpreter substages (parse /
+     compile / realm-install / execute), the driver-domain allocation and
+     the unaccounted residual;
+   - reference: the campaign fuzzer's screened cases swept through the
+     reference oracle ([Difftest.run_case ~config:Reference], direct per
+     testbed, tree-walked, freshly installed realms) next to the
+     production sweep of the same cases. Every case's two reports must be equal, and both
+     sweeps count real interpreter executions via [Run.run_count], so the
+     row reports what sharing and the compiled core save;
+   - workers: the production campaign in forked worker processes, whose
+     report must equal the in-process one with the same folded execution
+     count (DESIGN.md §14).
+
+   Gates: identical reports everywhere, every jobs=1 production row
+   accounts for >= 90% of its wall clock, and the production row stays
+   within the allocation budget. Emits BENCH_campaign.json (not kept in
+   the repository: CI uploads it as an artifact).
 
    On a single-CPU container the jobs>1 row is pure scheduling overhead,
    not a measurement of the executor, so it is skipped (and flagged in
-   the JSON) when [Domain.recommended_domain_count] reports one core.
-   Every row is measured as the best of three interleaved passes — see
-   the comment at the measurement loop. *)
+   the JSON) when [Domain.recommended_domain_count] reports one core. Each
+   production row is the best of three interleaved passes — see the
+   comment at the measurement loop. *)
 let campaign_bench () =
-  header
-    "Campaign throughput: sharing x compilation x reach x specialisation";
+  header "Campaign throughput: production, reference oracle, worker processes";
   let budget = 400 * scale in
+  let seed = 11 in
   let testbeds = Engines.Engine.all_testbeds in
   let cores = Domain.recommended_domain_count () in
   let njobs =
@@ -571,28 +575,23 @@ let campaign_bench () =
     if env > 1 then env else min 4 cores
   in
   let multi = cores > 1 && njobs > 1 in
-  (* process-isolated workers row: measured once, up front — it must
-     run before any jobs>1 row spawns a domain, which permanently
-     disables fork — and outside the best-of-3 grid. The jobs=1
-     profiler and allocation gates do not apply to it: the sweep
-     executes in forked children, so driver-side stage probes and
-     Gc.allocated_bytes see only the coordinator, and wall clock on a
-     shared container is dominated by fork/IPC noise anyway. Its gates
-     (identity, folded execution count) are checked against the grid's
-     rows below. Skipped (and flagged in the JSON) where fork is
-     unavailable. *)
+  (* process-isolated workers row: measured once, up front — it must run
+     before any jobs>1 row spawns a domain, which permanently disables
+     fork. The jobs=1 profiler and allocation gates do not apply to it:
+     the sweep executes in forked children, so driver-side stage probes
+     and Gc.allocated_bytes see only the coordinator. Skipped (and flagged
+     in the JSON) where fork is unavailable. *)
   let wn = 2 in
   let workers_row =
     if not (Comfort.Coordinator.available ()) then None
     else begin
-      let fz = Comfort.Campaign.comfort_fuzzer ~seed:11 () in
+      let fz = Comfort.Campaign.comfort_fuzzer ~seed () in
       let e0 = Jsinterp.Run.run_count () in
       let k0 = Comfort.Coordinator.stat_kills () in
       let r0 = Comfort.Coordinator.stat_respawns () in
       let t0 = Unix.gettimeofday () in
       let res =
-        Comfort.Campaign.run ~testbeds ~budget ~jobs:1 ~share:true
-          ~resolve:true ~reach:true ~specialize:true ~workers:wn fz
+        Comfort.Campaign.run ~testbeds ~budget ~jobs:1 ~workers:wn fz
       in
       let dt = Unix.gettimeofday () -. t0 in
       let execs = Jsinterp.Run.run_count () - e0 in
@@ -605,21 +604,16 @@ let campaign_bench () =
     end
   in
   Jsinterp.Run.Stage.enabled := true;
-  let measure ~jobs ~share ~resolve ~reach ~specialize =
-    let fz = Comfort.Campaign.comfort_fuzzer ~seed:11 () in
+  let measure ~jobs =
+    let fz = Comfort.Campaign.comfort_fuzzer ~seed () in
     let e0 = Jsinterp.Run.run_count () in
     Jsinterp.Run.Stage.reset ();
     let a0 = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
-    let res =
-      Comfort.Campaign.run ~testbeds ~budget ~jobs ~share ~resolve ~reach
-        ~specialize fz
-    in
+    let res = Comfort.Campaign.run ~testbeds ~budget ~jobs fz in
     let dt = Unix.gettimeofday () -. t0 in
     (* driver-domain allocation; at jobs=1 the whole campaign runs here,
-       so this is the campaign's total allocation. (jobs>1 workers
-       allocate on their own domains — their stage probes still land in
-       the per-stage byte columns below.) *)
+       so this is the campaign's total allocation *)
     let alloc = Gc.allocated_bytes () -. a0 in
     let profile =
       Comfort.Metrics.profile ~wall_ns:(int_of_float (dt *. 1e9))
@@ -629,8 +623,8 @@ let campaign_bench () =
       Float.of_int execs /. Float.of_int res.Comfort.Campaign.cp_cases_run
     in
     Printf.printf
-      "  share=%-5b resolve=%-5b reach=%-5b specialize=%-5b jobs=%d: %6.2fs wall, %6.1f cases/s, %5.1f executions/case, %d unique bugs, %4.1f%% unaccounted\n%!"
-      share resolve reach specialize jobs dt
+      "  production jobs=%d: %6.2fs wall, %6.1f cases/s, %5.2f executions/case, %d unique bugs, %4.1f%% unaccounted\n%!"
+      jobs dt
       (Float.of_int res.Comfort.Campaign.cp_cases_run /. dt)
       per_case
       (List.length res.Comfort.Campaign.cp_discoveries)
@@ -643,150 +637,115 @@ let campaign_bench () =
     Printf.printf
       "  (single-CPU container: the parallel jobs>1 row is skipped — it \
        would measure scheduling overhead, not the executor)\n%!";
-  let combos =
-    [
-      (false, false, false, false, 1);
-      (true, false, false, false, 1);
-      (false, true, false, false, 1);
-      (true, true, false, false, 1);
-      (true, true, true, false, 1);
-      (true, true, true, true, 1);
-    ]
-    @ (if multi then [ (true, true, true, true, njobs) ] else [])
-  in
-  (* Each row is the best of three interleaved passes. A campaign row is
-     deterministic (fixed fuzzer seed), so wall-clock spread between
-     passes is scheduler and cache noise — on a shared single-CPU
-     container it reaches ±30%, enough to flip the reach-vs-share+resolve
-     comparison on a single measurement. Interleaving the passes (round
-     robin over the combos, not three back-to-back runs of one combo)
-     cancels slow drift; the minimum is the run the machine interfered
-     with least. *)
+  let job_rows = 1 :: (if multi then [ njobs ] else []) in
+  (* Each production row is the best of three interleaved passes. A
+     campaign row is deterministic (fixed fuzzer seed), so wall-clock
+     spread between passes is scheduler and cache noise; interleaving the
+     passes cancels slow drift, and the minimum is the run the machine
+     interfered with least. *)
   let reps = 3 in
-  let best = Hashtbl.create 8 in
+  let best = Hashtbl.create 4 in
   for rep = 1 to reps do
     if reps > 1 then Printf.printf "  -- pass %d/%d --\n%!" rep reps;
     List.iter
-      (fun ((share, resolve, reach, specialize, jobs) as c) ->
-        let ((_, dt, _, _, _) as m) =
-          measure ~jobs ~share ~resolve ~reach ~specialize
-        in
-        match Hashtbl.find_opt best c with
+      (fun jobs ->
+        let ((_, dt, _, _, _) as m) = measure ~jobs in
+        match Hashtbl.find_opt best jobs with
         | Some (_, bdt, _, _, _) when bdt <= dt -> ()
-        | _ -> Hashtbl.replace best c m)
-      combos
+        | _ -> Hashtbl.replace best jobs m)
+      job_rows
   done;
-  let runs = List.map (fun c -> (c, Hashtbl.find best c)) combos in
+  let runs = List.map (fun j -> (j, Hashtbl.find best j)) job_rows in
   Jsinterp.Run.Stage.enabled := false;
   let key d = (d.Comfort.Campaign.disc_engine, d.Comfort.Campaign.disc_quirk) in
-  let base, _, _, _, _ = List.assoc (false, false, false, false, 1) runs in
-  let same =
-    List.for_all
-      (fun (_, (r, _, _, _, _)) ->
-        List.map key r.Comfort.Campaign.cp_discoveries
-        = List.map key base.Comfort.Campaign.cp_discoveries
-        && r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline
-        && r.Comfort.Campaign.cp_filtered_repeats
-           = base.Comfort.Campaign.cp_filtered_repeats)
-      runs
+  let same_report (a : Comfort.Campaign.result) (b : Comfort.Campaign.result) =
+    List.map key a.Comfort.Campaign.cp_discoveries
+    = List.map key b.Comfort.Campaign.cp_discoveries
+    && a.Comfort.Campaign.cp_timeline = b.Comfort.Campaign.cp_timeline
+    && a.Comfort.Campaign.cp_filtered_repeats
+       = b.Comfort.Campaign.cp_filtered_repeats
   in
-  let _, direct_dt, direct_execs, direct_pc, _ =
-    List.assoc (false, false, false, false, 1) runs
+  let prod_res, prod_dt, prod_execs, prod_pc, (_, prod_alloc) =
+    List.assoc 1 runs
   in
-  let _, shared_dt, shared_execs, shared_pc, _ =
-    List.assoc (true, false, false, false, 1) runs
+  let same = List.for_all (fun (_, (r, _, _, _, _)) -> same_report r prod_res) runs in
+  (* the reference row: the campaign fuzzer's first batch, screened as
+     the campaign screens it, swept per mode group through both paths *)
+  let cases =
+    List.filter_map
+      (fun tc ->
+        match Comfort.Campaign.screen_case tc with
+        | Comfort.Campaign.S_kept tc | Comfort.Campaign.S_repaired tc -> Some tc
+        | Comfort.Campaign.S_dropped _ -> None)
+      ((Comfort.Campaign.comfort_fuzzer ~seed ()).Comfort.Campaign.fz_batch
+         budget)
   in
-  let _, resolved_dt, _, _, _ = List.assoc (false, true, false, false, 1) runs in
-  let _, both_dt, _, _, _ = List.assoc (true, true, false, false, 1) runs in
-  let reach_res, reach_dt, reach_execs, reach_pc, (reach_prof, _) =
-    List.assoc (true, true, true, false, 1) runs
+  let by_mode =
+    List.filter
+      (fun l -> l <> [])
+      [
+        List.filter
+          (fun tb -> tb.Engines.Engine.tb_mode = Engines.Engine.Normal)
+          testbeds;
+        List.filter
+          (fun tb -> tb.Engines.Engine.tb_mode = Engines.Engine.Strict)
+          testbeds;
+      ]
   in
-  let spec_res, spec_dt, spec_execs, spec_pc, (_spec_prof, spec_alloc) =
-    List.assoc (true, true, true, true, 1) runs
+  let sweep config =
+    let e0 = Jsinterp.Run.run_count () in
+    let t0 = Unix.gettimeofday () in
+    let reports =
+      List.map
+        (fun tc ->
+          let cache = Engines.Engine.Exec.cache tc.Comfort.Testcase.tc_source in
+          List.map
+            (fun tbs ->
+              match config with
+              | Jsinterp.Run.Production ->
+                  Comfort.Difftest.run_case ~cache tbs tc
+              | Jsinterp.Run.Reference ->
+                  Comfort.Difftest.run_case ~config tbs tc)
+            by_mode)
+        cases
+    in
+    (reports, Unix.gettimeofday () -. t0, Jsinterp.Run.run_count () - e0)
   in
-  let _, _, _, _, (both_prof, _) =
-    List.assoc (true, true, false, false, 1) runs
+  let prod_sweep, prod_sweep_dt, prod_sweep_execs = sweep Jsinterp.Run.Production in
+  let ref_sweep, ref_sweep_dt, ref_sweep_execs = sweep Jsinterp.Run.Reference in
+  let ncases = Float.of_int (max 1 (List.length cases)) in
+  let oracle_equal =
+    List.for_all2 (List.for_all2 Comfort.Difftest.report_equal) prod_sweep
+      ref_sweep
   in
-  let reduction = Float.of_int direct_execs /. Float.of_int shared_execs in
+  let reduction = Float.of_int ref_sweep_execs /. Float.of_int prod_sweep_execs in
   Printf.printf
-    "execution sharing: %.1f -> %.1f executions/case (%.1fx fewer), %.2fx faster at 1 job\n"
-    direct_pc shared_pc reduction (direct_dt /. shared_dt);
-  Printf.printf
-    "slot compilation: %.2fx over tree-walking direct, %.2fx on top of sharing (share+resolve vs share-only)\n"
-    (direct_dt /. resolved_dt)
-    (shared_dt /. both_dt);
-  (* the reach row's marginal cost over plain share+resolve, attributed
-     by the profiler: the sweep stage carries the cell bookkeeping and
-     the reach-set forcing, the compile substage carries the
-     consultation-folding pass. Since PR 9 packed the class-sharing
-     check into two machine-word compares, the full-scan path the cell
-     partition short-circuits is nearly free, so reach's residual is
-     expected to sit at or slightly above zero in isolation — it pays
-     off through the specialisation layer built on its cells (the
-     [specialize] row below), not on this row. *)
-  let stage_of rows name =
-    match
-      List.find_opt (fun r -> r.Comfort.Metrics.st_name = name) rows
-    with
-    | Some r -> r.Comfort.Metrics.st_ns
-    | None -> 0
-  in
-  let reach_overhead_pct = 100.0 *. (reach_dt -. both_dt) /. both_dt in
-  Printf.printf
-    "static reach: %.1f executions/case (same executions as share+resolve: %b), %+.1f%% wall vs share+resolve (sweep %+.1fms, compile substage %+.1fms), %d reach-seeded shares\n"
-    reach_pc
-    (reach_execs = shared_execs)
-    reach_overhead_pct
-    (Float.of_int
-       (stage_of reach_prof.Comfort.Metrics.pr_stages "sweep"
-       - stage_of both_prof.Comfort.Metrics.pr_stages "sweep")
-    /. 1e6)
-    (Float.of_int
-       (stage_of reach_prof.Comfort.Metrics.pr_substages "compile"
-       - stage_of both_prof.Comfort.Metrics.pr_substages "compile")
-    /. 1e6)
-    reach_res.Comfort.Campaign.cp_reach_seeded;
-  Printf.printf
-    "specialisation: %.1f executions/case (same executions as share+resolve: %b), %.2fx vs reach row; %d specialised compilations, %d COW clones, %d IC hits\n"
-    spec_pc
-    (spec_execs = shared_execs)
-    (reach_dt /. spec_dt)
-    spec_res.Comfort.Campaign.cp_specialized
-    spec_res.Comfort.Campaign.cp_cow_clones
-    spec_res.Comfort.Campaign.cp_ic_hits;
-  (if multi then
-     let _, par_dt, _, _, _ = List.assoc (true, true, true, true, njobs) runs in
-     Printf.printf
-       "full fast path + %d jobs vs direct sequential: %.2fx; all results identical: %b\n"
-       njobs (direct_dt /. par_dt) same
-   else
-     Printf.printf
-       "full fast path vs direct sequential: %.2fx; all results identical: %b\n"
-       (direct_dt /. spec_dt) same);
-  (* the specialize row must not change a single sharing decision: same
-     executions as the share+resolve baseline or the bench fails loudly *)
-  if spec_execs <> shared_execs then begin
-    Printf.eprintf
-      "FAIL: specialisation changed the execution count (%d vs %d)\n"
-      spec_execs shared_execs;
-    exit 1
-  end;
+    "reference oracle: %d cases swept in %.2fs (%.1f executions/case) vs production %.2fs (%.2f executions/case): %.1fx fewer executions, %.2fx faster; reports equal: %b\n"
+    (List.length cases) ref_sweep_dt
+    (Float.of_int ref_sweep_execs /. ncases)
+    prod_sweep_dt
+    (Float.of_int prod_sweep_execs /. ncases)
+    reduction (ref_sweep_dt /. prod_sweep_dt) oracle_equal;
   if not same then begin
-    Printf.eprintf "FAIL: the combinations disagree on the campaign report\n";
+    Printf.eprintf "FAIL: the production rows disagree on the campaign report\n";
     exit 1
   end;
-  (* profiler-accounting gate (jobs=1 rows only: a parallel row's stage
+  if not oracle_equal then begin
+    Printf.eprintf "FAIL: the production sweep disagrees with the reference oracle\n";
+    exit 1
+  end;
+  (* profiler-accounting gate (jobs=1 row only: a parallel row's stage
      sums measure CPU time, so "unaccounted wall" is not meaningful
-     there): every sequential row must pin at least 90% of its wall
-     clock to a named pipeline stage, or the profiler has a hole *)
+     there): the sequential row must pin at least 90% of its wall clock
+     to a named pipeline stage, or the profiler has a hole *)
   let max_unaccounted =
     List.fold_left
-      (fun acc ((_, _, _, _, jobs), (_, _, _, _, (p, _))) ->
+      (fun acc (jobs, (_, _, _, _, (p, _))) ->
         if jobs = 1 then Float.max acc p.Comfort.Metrics.pr_unaccounted_pct
         else acc)
       0.0 runs
   in
-  Printf.printf "profiler: max unaccounted wall across jobs=1 rows %.1f%%\n"
+  Printf.printf "profiler: unaccounted wall on the jobs=1 row %.1f%%\n"
     max_unaccounted;
   if max_unaccounted >= 10.0 then begin
     Printf.eprintf
@@ -795,41 +754,34 @@ let campaign_bench () =
       max_unaccounted;
     exit 1
   end;
-  (* allocation-regression gate on the production row (everything on,
-     jobs=1): scratch recycling and the quirk-word migration hold the
-     steady state near 0.5 MB/case; the budget leaves headroom for
-     machine variance but catches a reverted optimisation, which costs
-     several MB/case *)
+  (* allocation-regression gate on the jobs=1 production row: scratch
+     recycling and the quirk-word migration hold the steady state near
+     0.5 MB/case; the budget leaves headroom for machine variance but
+     catches a reverted optimisation, which costs several MB/case *)
   let alloc_budget_per_case = 2_000_000.0 in
-  let spec_alloc_per_case =
-    spec_alloc /. Float.of_int spec_res.Comfort.Campaign.cp_cases_run
+  let prod_alloc_per_case =
+    prod_alloc /. Float.of_int prod_res.Comfort.Campaign.cp_cases_run
   in
   Printf.printf "allocation: %.0f bytes/case on the production row (budget %.0f)\n"
-    spec_alloc_per_case alloc_budget_per_case;
-  if spec_alloc_per_case > alloc_budget_per_case then begin
+    prod_alloc_per_case alloc_budget_per_case;
+  if prod_alloc_per_case > alloc_budget_per_case then begin
     Printf.eprintf
       "FAIL: production row allocates %.0f bytes/case (budget %.0f)\n"
-      spec_alloc_per_case alloc_budget_per_case;
+      prod_alloc_per_case alloc_budget_per_case;
     exit 1
   end;
-  (* gates on the process-isolated row measured up front (before the
-     grid could spawn domains): identity with the in-process report and
-     an exact folded execution count — the determinism contract of
-     DESIGN.md §14 *)
+  (* gates on the process-isolated row measured up front: identity with
+     the in-process report and an exact folded execution count — the
+     determinism contract of DESIGN.md §14 *)
   let workers_same =
     match workers_row with
     | None -> true
-    | Some (r, _, _, _, _) ->
-        List.map key r.Comfort.Campaign.cp_discoveries
-        = List.map key base.Comfort.Campaign.cp_discoveries
-        && r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline
-        && r.Comfort.Campaign.cp_filtered_repeats
-           = base.Comfort.Campaign.cp_filtered_repeats
+    | Some (r, _, _, _, _) -> same_report r prod_res
   in
   let workers_execs_ok =
     match workers_row with
     | None -> true
-    | Some (_, _, execs, _, _) -> execs = shared_execs
+    | Some (_, _, execs, _, _) -> execs = prod_execs
   in
   (match workers_row with
   | None ->
@@ -839,9 +791,9 @@ let campaign_bench () =
   | Some (_, dt, _, kills, respawns) ->
       Printf.printf
         "process isolation: %d workers, %.2fs wall (%.2fx vs in-process \
-         production row), identical results: %b, folded executions match \
-         share row: %b, %d respawns (%d hard-kills)\n"
-        wn dt (spec_dt /. dt) workers_same workers_execs_ok respawns kills);
+         production row), identical results: %b, folded executions match: \
+         %b, %d respawns (%d hard-kills)\n"
+        wn dt (prod_dt /. dt) workers_same workers_execs_ok respawns kills);
   if not workers_same then begin
     Printf.eprintf
       "FAIL: the process-isolated row disagrees with the in-process report\n";
@@ -858,20 +810,17 @@ let campaign_bench () =
          (fun r -> Printf.sprintf "%S: %d" r.Comfort.Metrics.st_name (get r))
          rows)
   in
-  let json_run
-      ( (share, resolve, reach, specialize, jobs),
-        (r, dt, execs, per_case, (p, alloc)) ) =
+  let json_run (jobs, (r, dt, execs, per_case, (p, alloc))) =
     Printf.sprintf
-      {|    { "share": %b, "resolve": %b, "reach": %b, "specialize": %b, "jobs": %d, "wall_s": %.3f, "cases_per_s": %.1f, "executions": %d, "executions_per_case": %.1f, "reach_seeded": %d, "specialized": %d, "cow_clones": %d, "ic_hits": %d, "discoveries": %d,
+      {|    { "jobs": %d, "wall_s": %.3f, "cases_per_s": %.1f, "executions": %d, "executions_per_case": %.2f, "cow_clones": %d, "ic_hits": %d, "discoveries": %d,
       "alloc_bytes": %.0f, "alloc_bytes_per_case": %.0f, "accounted_ns": %d, "unaccounted_pct": %.1f,
       "pipeline_ns": { %s },
       "pipeline_bytes": { %s },
       "stages_ns": { %s },
       "stages_bytes": { %s } }|}
-      share resolve reach specialize jobs dt
+      jobs dt
       (Float.of_int r.Comfort.Campaign.cp_cases_run /. dt)
-      execs per_case r.Comfort.Campaign.cp_reach_seeded
-      r.Comfort.Campaign.cp_specialized r.Comfort.Campaign.cp_cow_clones
+      execs per_case r.Comfort.Campaign.cp_cow_clones
       r.Comfort.Campaign.cp_ic_hits
       (List.length r.Comfort.Campaign.cp_discoveries)
       alloc
@@ -893,23 +842,18 @@ let campaign_bench () =
   "testbeds": %d,
   "cores": %d,
   "parallel_row_skipped": %b,
-  "runs": [
+  "production": [
 %s
   ],
+  "production_executions_per_case": %.2f,
+  "reference_cases": %d,
+  "reference_sweep_wall_s": %.3f,
+  "reference_executions_per_case": %.2f,
+  "production_sweep_wall_s": %.3f,
+  "production_sweep_executions_per_case": %.2f,
   "sharing_execution_reduction": %.2f,
-  "sharing_speedup_1job": %.2f,
-  "resolve_speedup_direct": %.2f,
-  "resolve_speedup_shared": %.2f,
-  "speedup_share_resolve_vs_direct": %.2f,
-  "reach_executions_match_share": %b,
-  "reach_overhead_pct": %.1f,
-  "reach_plus_specialize_beats_share_resolve": %b,
-  "reach_seeded": %d,
-  "specialize_executions_match_share": %b,
-  "specialize_speedup_vs_reach": %.2f,
-  "specialized": %d,
-  "cow_clones": %d,
-  "ic_hits": %d,
+  "production_sweep_speedup": %.2f,
+  "reference_reports_equal": %b,
   "max_unaccounted_pct": %.1f,
   "alloc_budget_bytes_per_case": %.0f,
   "alloc_bytes_per_case_production": %.0f,
@@ -918,30 +862,20 @@ let campaign_bench () =
   "workers": %d,
   "workers_wall_s": %.3f,
   "workers_identical_results": %b,
-  "workers_executions_match_share": %b,
+  "workers_executions_match": %b,
   "workers_respawns": %d,
   "workers_kills": %d
 }
 |}
       budget (List.length testbeds) cores (not multi)
       (String.concat ",\n" (List.map json_run runs))
+      prod_pc (List.length cases) ref_sweep_dt
+      (Float.of_int ref_sweep_execs /. ncases)
+      prod_sweep_dt
+      (Float.of_int prod_sweep_execs /. ncases)
       reduction
-      (direct_dt /. shared_dt)
-      (direct_dt /. resolved_dt)
-      (shared_dt /. both_dt)
-      (direct_dt /. both_dt)
-      (reach_execs = shared_execs)
-      reach_overhead_pct
-      (spec_dt <= both_dt)
-      reach_res.Comfort.Campaign.cp_reach_seeded
-      (spec_execs = shared_execs)
-      (reach_dt /. spec_dt)
-      spec_res.Comfort.Campaign.cp_specialized
-      spec_res.Comfort.Campaign.cp_cow_clones
-      spec_res.Comfort.Campaign.cp_ic_hits
-      max_unaccounted
-      alloc_budget_per_case
-      spec_alloc_per_case
+      (ref_sweep_dt /. prod_sweep_dt)
+      oracle_equal max_unaccounted alloc_budget_per_case prod_alloc_per_case
       same
       (workers_row = None)
       wn
@@ -957,14 +891,14 @@ let campaign_bench () =
 
 (* ---------- interpreter-core micro-benchmark ---------- *)
 
-(* ns/op for the quirk-specialised and generic slot-compiled cores vs
-   the tree walker on four workload shapes, each stressing a different
-   part of the interpreter: deep lexical scope chains, function calls,
-   string building, and property traffic. Each program is parsed once up
-   front; the timed body is execution only (with [resolve] on, the
-   closure compilation is cached in the front end after the first run,
-   matching production where one compile serves a whole testbed sweep).
-   Emits BENCH_interp.json. *)
+(* ns/op for the production core (slot-compiled closures, inline caches,
+   copy-on-write realm) vs the tree-walking reference on five workload
+   shapes, each stressing a different part of the interpreter: deep
+   lexical scope chains, function calls, string building, property
+   traffic and array traffic. Each program is parsed once up front; the
+   timed body is execution only (in production the closure compilation is
+   cached in the front end after the first run, as in a campaign, where
+   one compile serves a whole testbed sweep). Emits BENCH_interp.json. *)
 let interp_programs =
   [
     ( "scope",
@@ -1021,52 +955,45 @@ print(s + ":" + items.length);|js}
   ]
 
 let interp_bench () =
-  header "Interpreter core: specialised vs slot-compiled vs tree-walked (ns/op)";
+  header "Interpreter core: production vs tree-walked reference (ns/op)";
   let fuel = 5_000_000 in
-  (* three-way parity sanity check before timing anything: the
-     specialised core must be observationally identical to the generic
-     compiled core and the tree walker, fuel accounting included *)
+  (* parity gate before timing anything: the production core must be
+     observationally identical to the reference, fuel accounting
+     included *)
   List.iter
     (fun (name, src) ->
-      let t = Jsinterp.Run.run ~fuel ~resolve:false ~specialize:false src in
-      let c = Jsinterp.Run.run ~fuel ~resolve:true ~specialize:false src in
-      let s = Jsinterp.Run.run ~fuel ~resolve:true ~specialize:true src in
-      let agrees (a : Jsinterp.Run.result) (b : Jsinterp.Run.result) =
-        a.Jsinterp.Run.r_status = b.Jsinterp.Run.r_status
-        && a.Jsinterp.Run.r_output = b.Jsinterp.Run.r_output
-        && a.Jsinterp.Run.r_fuel_used = b.Jsinterp.Run.r_fuel_used
-      in
+      let t = Jsinterp.Run.run ~fuel ~config:Jsinterp.Run.Reference src in
+      let p = Jsinterp.Run.run ~fuel src in
       if
         t.Jsinterp.Run.r_status <> Jsinterp.Run.Sts_normal
-        || (not (agrees t c))
-        || not (agrees t s)
+        || t.Jsinterp.Run.r_status <> p.Jsinterp.Run.r_status
+        || t.Jsinterp.Run.r_output <> p.Jsinterp.Run.r_output
+        || t.Jsinterp.Run.r_fuel_used <> p.Jsinterp.Run.r_fuel_used
       then (
         Printf.eprintf
-          "interp bench %s: modes disagree (tree: %s %S fuel=%d / compiled: %s %S fuel=%d / specialised: %s %S fuel=%d)\n"
+          "interp bench %s: cores disagree (tree: %s %S fuel=%d / production: %s %S fuel=%d)\n"
           name
           (Jsinterp.Run.status_to_string t.Jsinterp.Run.r_status)
           t.Jsinterp.Run.r_output t.Jsinterp.Run.r_fuel_used
-          (Jsinterp.Run.status_to_string c.Jsinterp.Run.r_status)
-          c.Jsinterp.Run.r_output c.Jsinterp.Run.r_fuel_used
-          (Jsinterp.Run.status_to_string s.Jsinterp.Run.r_status)
-          s.Jsinterp.Run.r_output s.Jsinterp.Run.r_fuel_used;
+          (Jsinterp.Run.status_to_string p.Jsinterp.Run.r_status)
+          p.Jsinterp.Run.r_output p.Jsinterp.Run.r_fuel_used;
         exit 1))
     interp_programs;
   let open Bechamel in
   let open Toolkit in
   let make_test ~mode (name, src) =
-    (* one front end per (program, mode): compiled modes reuse their
-       cached compilation across iterations, tree mode never compiles *)
+    (* one front end per (program, mode): production reuses its cached
+       compilation across iterations, the tree walker never compiles *)
     let fe = Jsinterp.Run.parse_frontend src in
-    let resolve = mode <> "tree" in
-    let specialize = mode = "specialized" in
+    let config =
+      if mode = "tree" then Jsinterp.Run.Reference else Jsinterp.Run.Production
+    in
     Test.make
       ~name:(Printf.sprintf "%s/%s" name mode)
       (Staged.stage (fun () ->
-           ignore
-             (Jsinterp.Run.run ~fuel ~resolve ~specialize ~frontend:fe src)))
+           ignore (Jsinterp.Run.run ~fuel ~config ~frontend:fe src)))
   in
-  let modes = [ "tree"; "resolved"; "specialized" ] in
+  let modes = [ "tree"; "production" ] in
   let tests =
     Test.make_grouped ~name:"interp"
       (List.concat_map
@@ -1090,20 +1017,16 @@ let interp_bench () =
       (fun (name, _) ->
         match
           ( estimate (Printf.sprintf "interp/%s/tree" name),
-            estimate (Printf.sprintf "interp/%s/resolved" name),
-            estimate (Printf.sprintf "interp/%s/specialized" name) )
+            estimate (Printf.sprintf "interp/%s/production" name) )
         with
-        | Some tree, Some resolved, Some specialized ->
-            Some (name, tree, resolved, specialized)
+        | Some tree, Some production -> Some (name, tree, production)
         | _ -> None)
       interp_programs
   in
   List.iter
-    (fun (name, tree, resolved, specialized) ->
-      Printf.printf
-        "  %-10s tree %10.0f ns/op   resolved %10.0f ns/op (%.2fx)   specialized %10.0f ns/op (%.2fx)\n"
-        name tree resolved (tree /. resolved) specialized
-        (tree /. specialized))
+    (fun (name, tree, production) ->
+      Printf.printf "  %-10s tree %10.0f ns/op   production %10.0f ns/op (%.2fx)\n"
+        name tree production (tree /. production))
     rows;
   let json =
     Printf.sprintf
@@ -1117,11 +1040,10 @@ let interp_bench () =
       fuel
       (String.concat ",\n"
          (List.map
-            (fun (name, tree, resolved, specialized) ->
+            (fun (name, tree, production) ->
               Printf.sprintf
-                {|    { "name": %S, "tree_ns_per_op": %.0f, "resolved_ns_per_op": %.0f, "specialized_ns_per_op": %.0f, "speedup": %.2f, "specialized_speedup": %.2f }|}
-                name tree resolved specialized (tree /. resolved)
-                (tree /. specialized))
+                {|    { "name": %S, "tree_ns_per_op": %.0f, "production_ns_per_op": %.0f, "speedup": %.2f }|}
+                name tree production (tree /. production))
             rows))
   in
   let oc = open_out "BENCH_interp.json" in

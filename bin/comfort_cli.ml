@@ -55,70 +55,6 @@ let workers_arg =
 let resolve_workers n =
   if n <= 0 then Comfort.Coordinator.default_workers () else n
 
-(* [--no-share] disables execution sharing for one invocation; without it
-   the default comes from COMFORT_NO_SHARE (sharing on if unset). *)
-let no_share_arg =
-  Arg.(
-    value & flag
-    & info [ "no-share" ]
-        ~doc:
-          "Interpret once per testbed instead of once per behavioural \
-           equivalence class. Results are byte-identical either way; this \
-           is the sharing escape hatch (env: $(b,COMFORT_NO_SHARE)).")
-
-(* [None] defers to the COMFORT_NO_SHARE-aware library default *)
-let resolve_share no_share = if no_share then Some false else None
-
-(* [--no-resolve] disables the slot-compiled interpreter core for one
-   invocation; without it the default comes from COMFORT_NO_RESOLVE
-   (compilation on if unset). *)
-let no_resolve_arg =
-  Arg.(
-    value & flag
-    & info [ "no-resolve" ]
-        ~doc:
-          "Tree-walk every reference execution instead of compiling \
-           programs to slot-resolved closures. Results are byte-identical \
-           either way; this is the interpreter-core escape hatch (env: \
-           $(b,COMFORT_NO_RESOLVE)).")
-
-(* [None] defers to the COMFORT_NO_RESOLVE-aware library default *)
-let resolve_resolve no_resolve = if no_resolve then Some false else None
-
-(* [--no-reach] disables the static checkpoint-reachability analysis for
-   one invocation; without it the default comes from COMFORT_NO_REACH
-   (analysis on if unset). *)
-let no_reach_arg =
-  Arg.(
-    value & flag
-    & info [ "no-reach" ]
-        ~doc:
-          "Skip the static checkpoint-reachability analysis (sharing-cell \
-           seeding and checkpoint folding). Results are byte-identical \
-           either way; this is the analysis escape hatch (env: \
-           $(b,COMFORT_NO_REACH)).")
-
-(* [None] defers to the COMFORT_NO_REACH-aware library default *)
-let resolve_reach no_reach = if no_reach then Some false else None
-
-(* [--no-specialize] disables the quirk-specialised fast path for one
-   invocation; without it the default comes from COMFORT_NO_SPECIALIZE
-   (specialisation on if unset). *)
-let no_specialize_arg =
-  Arg.(
-    value & flag
-    & info [ "no-specialize" ]
-        ~doc:
-          "Skip the quirk-specialised fast path (copy-on-write realms, \
-           per-cell compiled closures, inline caches) and execute every \
-           run through the generic compiled form. Results are \
-           byte-identical either way; this is the specialisation escape \
-           hatch (env: $(b,COMFORT_NO_SPECIALIZE)).")
-
-(* [None] defers to the COMFORT_NO_SPECIALIZE-aware library default *)
-let resolve_specialize no_specialize =
-  if no_specialize then Some false else None
-
 let engine_conv =
   let parse s =
     match
@@ -230,16 +166,11 @@ let run_cmd =
 
 (* --- difftest --- *)
 
-let difftest file no_share no_resolve no_reach no_specialize =
+let difftest file =
   let src = read_file file in
   let tc = Comfort.Testcase.make src in
   let report =
-    Comfort.Difftest.run_case
-      ?share:(resolve_share no_share)
-      ?resolve:(resolve_resolve no_resolve)
-      ?reach:(resolve_reach no_reach)
-      ?specialize:(resolve_specialize no_specialize)
-      (Engines.Engine.latest_testbeds ()) tc
+    Comfort.Difftest.run_case (Engines.Engine.latest_testbeds ()) tc
   in
   Printf.printf "testbeds run: %d\n" report.Comfort.Difftest.cr_tested;
   if report.Comfort.Difftest.cr_deviations = [] then
@@ -260,20 +191,14 @@ let difftest_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "difftest" ~doc:"Differential-test one file across the latest engines")
-    Term.(const difftest $ file $ no_share_arg $ no_resolve_arg $ no_reach_arg
-          $ no_specialize_arg)
+    Term.(const difftest $ file)
 
 (* --- fuzz --- *)
 
-let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
-    no_reach no_specialize audit_share audit_reach audit_specialize faults
+let fuzz budget fuzzer_name seed feedback jobs workers audit faults
     checkpoint checkpoint_every resume halt_after profile =
   let jobs = resolve_jobs jobs in
   let workers = resolve_workers workers in
-  let share = resolve_share no_share in
-  let resolve = resolve_resolve no_resolve in
-  let reach = resolve_reach no_reach in
-  let specialize = resolve_specialize no_specialize in
   let plan =
     match faults with
     | None -> (
@@ -302,6 +227,10 @@ let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
     Printf.eprintf
       "--feedback cannot be combined with --faults/--checkpoint/--resume/\
        --halt-after/--workers\n";
+    exit 2
+  end;
+  if audit > 0 && (feedback || Option.is_some plan) then begin
+    Printf.eprintf "--audit cannot be combined with --feedback/--faults\n";
     exit 2
   end;
   let respawns0 = Comfort.Coordinator.stat_respawns () in
@@ -347,11 +276,10 @@ let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
             let t = Comfort.Feedback.create fz in
             Comfort.Feedback.run_rounds ~rounds:4
               ~budget_per_round:(max 1 (budget / 4))
-              ~jobs ?share ?resolve ?reach ?specialize t
+              ~jobs t
           else
-            Comfort.Campaign.run ~budget ~jobs ~workers ?share ?resolve
-              ?reach ?specialize ~audit_share ~audit_reach ~audit_specialize
-              ?faults:plan ?checkpoint ?halt_after fz)
+            Comfort.Campaign.run ~budget ~jobs ~workers ~audit ?faults:plan
+              ?checkpoint ?halt_after fz)
     with
     | Comfort.Campaign.Halted { halted_at; halted_checkpoint } ->
         Printf.printf "campaign halted after %d cases%s\n" halted_at
@@ -392,14 +320,8 @@ let fuzz budget fuzzer_name seed feedback jobs workers no_share no_resolve
     res.Comfort.Campaign.cp_filtered_repeats;
   Printf.printf "screened out: %d (repaired %d)\n"
     res.Comfort.Campaign.cp_screened_out res.Comfort.Campaign.cp_repaired;
-  if res.Comfort.Campaign.cp_reach_seeded > 0 then
-    Printf.printf "reach-seeded shares: %d\n"
-      res.Comfort.Campaign.cp_reach_seeded;
-  if res.Comfort.Campaign.cp_specialized > 0 then
-    Printf.printf
-      "specialized compilations: %d (COW clones %d, inline-cache hits %d)\n"
-      res.Comfort.Campaign.cp_specialized res.Comfort.Campaign.cp_cow_clones
-      res.Comfort.Campaign.cp_ic_hits;
+  Printf.printf "COW clones %d, inline-cache hits %d\n"
+    res.Comfort.Campaign.cp_cow_clones res.Comfort.Campaign.cp_ic_hits;
   List.iter
     (fun (reason, n) -> Printf.printf "  %-35s %d\n" reason n)
     res.Comfort.Campaign.cp_screen_reasons;
@@ -446,40 +368,18 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "feedback" ]
            ~doc:"Mutate bug-exposing cases between rounds (the §5.5 extension).")
   in
-  let audit_share =
+  let audit =
     Arg.(
       value
       & opt ~vopt:1 int 0
-      & info [ "audit-share" ] ~docv:"N"
+      & info [ "audit" ] ~docv:"N"
           ~doc:
-            "Cross-check execution sharing: every $(docv)-th case (1 = \
+            "Cross-check the production path: every $(docv)-th case (1 = \
              every case when the option is given bare; 0 = off) runs down \
-             both the shared and the direct path and the campaign aborts \
-             on any divergence. Incompatible with $(b,--feedback).")
-  in
-  let audit_reach =
-    Arg.(
-      value
-      & opt ~vopt:1 int 0
-      & info [ "audit-reach" ] ~docv:"N"
-          ~doc:
-            "Audit the static reachability analysis: every $(docv)-th case \
-             (1 = every case when the option is given bare; 0 = off) \
-             additionally executes directly on every testbed and the \
-             campaign aborts if any run consults a checkpoint outside its \
-             static reach set. Incompatible with $(b,--feedback).")
-  in
-  let audit_specialize =
-    Arg.(
-      value
-      & opt ~vopt:1 int 0
-      & info [ "audit-specialize" ] ~docv:"N"
-          ~doc:
-            "Cross-check quirk specialisation: every $(docv)-th case (1 = \
-             every case when the option is given bare; 0 = off) runs once \
-             down the specialised fast path and once down the generic \
-             compiled path and the campaign aborts on any report \
-             divergence. Incompatible with $(b,--feedback).")
+             both the production path and the reference oracle \
+             (tree-walked, unshared, freshly installed realm) and the \
+             campaign aborts on any report divergence. Incompatible with \
+             $(b,--feedback) and $(b,--faults).")
   in
   let faults =
     Arg.(
@@ -541,9 +441,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign against the simulated engines")
     Term.(const fuzz $ budget $ fuzzer $ seed $ feedback $ jobs_arg
-          $ workers_arg $ no_share_arg $ no_resolve_arg $ no_reach_arg
-          $ no_specialize_arg $ audit_share $ audit_reach $ audit_specialize
-          $ faults $ checkpoint $ checkpoint_every $ resume $ halt_after
+          $ workers_arg $ audit $ faults $ checkpoint $ checkpoint_every $ resume $ halt_after
           $ profile)
 
 (* --- analyze --- *)
@@ -583,18 +481,23 @@ let print_analysis label src =
    use the same label/count format as the Report summaries. *)
 let print_quirk_reach label src =
   (match label with Some l -> Printf.printf "// %s\n" l | None -> ());
-  let fe_sloppy = Jsinterp.Run.parse_frontend ~strict:false src in
-  match fe_sloppy.Jsinterp.Run.fe_program with
+  (* a mode's reach: the analysis of its parse joined with the parse-stage
+     quirks its front end sank; a program the front end rejects reaches no
+     execution checkpoint, only those parse-stage quirks *)
+  let reach ~strict =
+    let fe = Jsinterp.Run.parse_frontend ~strict src in
+    match fe.Jsinterp.Run.fe_program with
+    | Ok prog ->
+        Ok
+          (Jsinterp.Quirk.Set.union fe.Jsinterp.Run.fe_fired
+             (Analysis.Reach.checkpoints ~strict prog))
+    | Error (msg, _) -> Error (msg, fe.Jsinterp.Run.fe_fired)
+  in
+  match reach ~strict:false with
   | Error (msg, _) -> Printf.printf "syntax error: %s\n" msg
-  | Ok _ ->
-      let s_sloppy = Jsinterp.Run.reach_set fe_sloppy in
-      let fe_strict = Jsinterp.Run.parse_frontend ~strict:true src in
+  | Ok s_sloppy ->
       let s_strict =
-        (* a program the strict front end rejects reaches no execution
-           checkpoint on strict testbeds — only its parse-stage quirks *)
-        match fe_strict.Jsinterp.Run.fe_program with
-        | Ok _ -> Jsinterp.Run.reach_set fe_strict
-        | Error _ -> fe_strict.Jsinterp.Run.fe_fired
+        match reach ~strict:true with Ok s | Error (_, s) -> s
       in
       let union = Jsinterp.Quirk.Set.union s_sloppy s_strict in
       if Analysis.Reach.is_top union then
@@ -679,16 +582,11 @@ let analyze_cmd =
 
 (* --- export --- *)
 
-let export budget seed dir jobs workers no_share no_resolve no_reach
-    no_specialize =
+let export budget seed dir jobs workers =
   let fz = Comfort.Campaign.comfort_fuzzer ~seed () in
   let res =
     Comfort.Campaign.run ~budget ~jobs:(resolve_jobs jobs)
-      ~workers:(resolve_workers workers)
-      ?share:(resolve_share no_share)
-      ?resolve:(resolve_resolve no_resolve)
-      ?reach:(resolve_reach no_reach)
-      ?specialize:(resolve_specialize no_specialize) fz
+      ~workers:(resolve_workers workers) fz
   in
   let files = Comfort.Test262_export.export res in
   (match dir with
@@ -720,13 +618,11 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Fuzz, then render discoveries as Test262-style conformance tests")
-    Term.(const export $ budget $ seed $ dir $ jobs_arg $ workers_arg
-          $ no_share_arg $ no_resolve_arg $ no_reach_arg $ no_specialize_arg)
+    Term.(const export $ budget $ seed $ dir $ jobs_arg $ workers_arg)
 
 (* --- reduce --- *)
 
-let reduce file engine version jobs no_share no_resolve no_reach
-    no_specialize =
+let reduce file engine version jobs =
   let src = read_file file in
   let cfg =
     match version with
@@ -739,13 +635,8 @@ let reduce file engine version jobs no_share no_resolve no_reach
       exit 1
   | Some cfg -> (
       let tb = { Engines.Engine.tb_config = cfg; tb_mode = Engines.Engine.Normal } in
-      let resolve = resolve_resolve no_resolve in
-      let reach = resolve_reach no_reach in
-      let specialize = resolve_specialize no_specialize in
-      let target = Engines.Engine.run ?resolve ?reach ?specialize tb src in
-      let reference =
-        Engines.Engine.run_reference ?resolve ?reach ?specialize src
-      in
+      let target = Engines.Engine.run tb src in
+      let reference = Engines.Engine.run_reference src in
       let tsig = Comfort.Difftest.signature_of_result target in
       let rsig = Comfort.Difftest.signature_of_result reference in
       if tsig = rsig then print_endline "// no deviation on that engine; nothing to reduce"
@@ -763,9 +654,7 @@ let reduce file engine version jobs no_share no_resolve no_reach
         let reduced =
           Comfort.Reducer.reduce ~jobs:(resolve_jobs jobs)
             ~still_triggers:
-              (Comfort.Reducer.still_triggers_deviation
-                 ?share:(resolve_share no_share) ?resolve ?reach ?specialize
-                 tb dev)
+              (Comfort.Reducer.still_triggers_deviation tb dev)
             src
         in
         Printf.printf "// reduced from %d to %d bytes\n%s"
@@ -780,8 +669,7 @@ let reduce_cmd =
     Arg.(value & opt (some string) None & info [ "version" ] ~doc:"Engine version.")
   in
   Cmd.v (Cmd.info "reduce" ~doc:"Reduce a bug-exposing test case")
-    Term.(const reduce $ file $ engine $ version $ jobs_arg $ no_share_arg
-          $ no_resolve_arg $ no_reach_arg $ no_specialize_arg)
+    Term.(const reduce $ file $ engine $ version $ jobs_arg)
 
 (* --- spec --- *)
 

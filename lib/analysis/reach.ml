@@ -26,11 +26,10 @@
    that rebinds the name everywhere cannot reach the builtin through it
    (members and string indices are still counted unconditionally).
 
-   Soundness is what the dynamic audit ([--audit-reach]) asserts: for every
+   Soundness is what the test suite's reach audit asserts: for every
    execution, the static set computed here is a superset of the run's
-   touched set. Precision only costs sharing/bucketing efficiency, never
-   correctness — the consumers (class seeding in [Engines.Engine.Exec],
-   checkpoint folding in [Jsinterp.Compile]) all degrade gracefully. *)
+   touched set. The set is a diagnostic ([comfort analyze --quirks]); no
+   execution consults it, so imprecision only blurs that view. *)
 
 open Jsast.Ast
 module Q = Quirkdef

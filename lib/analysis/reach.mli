@@ -7,16 +7,14 @@
     dynamic constructs the analysis cannot bound ([eval], computed member
     access with the global object in reach).
 
-    Soundness contract (asserted dynamically by [--audit-reach]): for every
-    execution of the program under any quirk configuration, fuel budget and
-    mode compatible with the [strict] argument,
-    [checkpoints p] ⊇ the execution's touched set.
+    Soundness contract (asserted by the test suite's reach audit over all
+    102 testbeds): for every execution of the program under any quirk
+    configuration, fuel budget and mode compatible with the [strict]
+    argument, [checkpoints p] ⊇ the execution's touched set.
 
-    Consumers: [Engines.Engine.Exec] keys equivalence-class buckets on the
-    set's intersection with each testbed's quirks (zero-probe class
-    seeding); [Jsinterp.Compile] constant-folds consultation sites whose
-    checkpoint is statically unreachable, with [Deopt_to_tree] as the
-    escape hatch. *)
+    Consumers: [comfort analyze --quirks] reports the set per mode and the
+    testbeds it distinguishes. No execution consults it; both interpreter
+    cores consult only {!observes_this}. *)
 
 (** All checkpoint ids — the top element of the domain. *)
 val top : Quirkdef.Set.t

@@ -51,19 +51,11 @@ type result = {
   cp_screened_out : int;       (** cases dropped by the static-analysis screen *)
   cp_screen_reasons : (string * int) list;  (** drop reason -> count *)
   cp_repaired : int;           (** cases kept after free-variable repair *)
-  cp_reach_seeded : int;
-      (** shared runs answered by the static reach partition's fast path
-          (0 with the analysis off); executions and reports are identical
-          either way — see [Engines.Engine.Exec.seeded] *)
-  cp_specialized : int;
-      (** quirk-specialised compilations performed (0 with specialisation
-          off); reports are identical either way — see [Compile] *)
   cp_cow_clones : int;
       (** realm-template objects lazily journaled by the copy-on-write
-          write barrier (0 with specialisation off) *)
+          write barrier *)
   cp_ic_hits : int;
-      (** property accesses answered by a compiled site's inline cache
-          (0 with specialisation off) *)
+      (** property accesses answered by a compiled site's inline cache *)
   cp_skipped_cases : int;      (** cases lost to worker failures (supervised
                                    executor: recorded, not fatal) *)
   cp_faults : Supervisor.stats;    (** aggregate supervision counters *)
@@ -195,7 +187,7 @@ let api_of_deviation (dev : Difftest.deviation) (tc : Testcase.t)
    repeats — same testbed, same removed quirk, same baseline signature —
    without even a signature comparison. Returned order is identical down
    every path. *)
-let causal_quirks ?(jobs = 1) ?resolve ?reach ?specialize ?cache ?memo
+let causal_quirks ?(jobs = 1) ?cache ?memo
     (tb : Engines.Engine.testbed) (src : string) (dev : Difftest.deviation)
     ~fuel : Quirk.t list =
   let cfg = tb.Engines.Engine.tb_config in
@@ -225,10 +217,10 @@ let causal_quirks ?(jobs = 1) ?resolve ?reach ?specialize ?cache ?memo
               && q <> Quirk.Q_strict_delete_unqualified_accepted;
           }
         in
-        Engines.Engine.Exec.run_keyed ?resolve ?reach ?specialize
+        Engines.Engine.Exec.run_keyed
           ~qbits:(Quirk.Bits.remove q cfg.Engines.Registry.cfg_qbits)
           ec ~pkey ~quirks ~parse_opts ~strict ~fuel
-    | None -> Run.run ~quirks ?resolve ?reach ?specialize ~parse_opts ~strict ~fuel src
+    | None -> Run.run ~quirks ~parse_opts ~strict ~fuel src
   in
   let changes q =
     let decide () =
@@ -278,27 +270,19 @@ module Checkpoint = struct
 
   let magic = "COMFORT-CKPT"
 
-  (* v2: added ck_reach / ck_audit_reach / ck_reach_seeded (the static
-     reachability analysis). v3: added ck_specialize /
-     ck_audit_specialize and the specialisation counters (quirk-
-     specialised execution). The header check rejects older files rather
-     than guess defaults for fields that change what a resumed campaign
-     runs. *)
-  let version = 3
+  (* v2: added the static reachability analysis's toggles and counter.
+     v3: added the specialisation toggles and counters. v4: the execution
+     toggles and their three audit periods collapse into one [ck_audit]
+     period (production vs reference). The header check rejects older
+     files rather than guess defaults for fields that change what a
+     resumed campaign runs. *)
+  let version = 4
 
   type state = {
     ck_fuzzer : string;
     ck_fuel : int;
-    ck_share : bool;
-    ck_resolve : bool option;
-    ck_reach : bool option;
-    ck_specialize : bool option;
     ck_reduce : bool;
-    ck_audit_share : int;
-    ck_audit_reach : int;
-    ck_audit_specialize : int;
-    ck_reach_seeded : int;  (* seeded-share tally accumulated so far *)
-    ck_specialized : int;   (* specialised-compilation tally so far *)
+    ck_audit : int;
     ck_cow_clones : int;    (* COW write-barrier tally so far *)
     ck_ic_hits : int;       (* inline-cache hit tally so far *)
     ck_testbeds : string list;       (* Engine.testbed_id, sweep order *)
@@ -380,19 +364,12 @@ end
 type st = {
   d_fuzzer : string;
   d_fuel : int;
-  d_share : bool;
-  d_resolve : bool option;
-  d_reach : bool option;
-  d_specialize : bool option;
   d_reduce : bool;
-  d_audit_share : int;
-  d_audit_reach : int;
-  d_audit_specialize : int;
-  mutable d_reach_seeded : int;
-      (* seeded shares attributable to this campaign, synced from the
-         process-wide counter by the driver before every checkpoint *)
-  mutable d_specialized : int;  (* specialised compilations, same protocol *)
-  mutable d_cow_clones : int;   (* COW write-barrier journals, same protocol *)
+  d_audit : int;
+  mutable d_cow_clones : int;
+      (* COW write-barrier journals attributable to this campaign, synced
+         from the process-wide counter by the driver before every
+         checkpoint *)
   mutable d_ic_hits : int;      (* inline-cache hits, same protocol *)
   d_testbeds : Engines.Engine.testbed list;
   d_plan : Supervisor.Faultplan.t option;
@@ -422,31 +399,21 @@ type work =
   | W_failed of exn  (* the worker itself blew up: case failed-and-skipped *)
 
 (* [work], flattened for the pipe to a forked worker: exceptions are not
-   Marshal-safe, so worker failures travel as strings and the three audit
-   divergences — which must poison the whole run, not one case — as a
-   tagged constructor the driver re-raises. *)
-type audit_kind = A_share | A_reach | A_specialize
-
+   Marshal-safe, so worker failures travel as strings and an audit
+   divergence — which must poison the whole run, not one case — as a
+   constructor the driver re-raises. *)
 type wire =
   | Wire_judged of Difftest.case_report list
   | Wire_swept of Difftest.sweep list
   | Wire_failed of string
-  | Wire_audit of audit_kind * string
+  | Wire_audit of string
 
 let snapshot (d : st) : Checkpoint.state =
   {
     Checkpoint.ck_fuzzer = d.d_fuzzer;
     ck_fuel = d.d_fuel;
-    ck_share = d.d_share;
-    ck_resolve = d.d_resolve;
-    ck_reach = d.d_reach;
-    ck_specialize = d.d_specialize;
     ck_reduce = d.d_reduce;
-    ck_audit_share = d.d_audit_share;
-    ck_audit_reach = d.d_audit_reach;
-    ck_audit_specialize = d.d_audit_specialize;
-    ck_reach_seeded = d.d_reach_seeded;
-    ck_specialized = d.d_specialized;
+    ck_audit = d.d_audit;
     ck_cow_clones = d.d_cow_clones;
     ck_ic_hits = d.d_ic_hits;
     ck_testbeds = List.map Engines.Engine.testbed_id d.d_testbeds;
@@ -476,8 +443,6 @@ let final (d : st) : result =
     cp_screened_out = d.d_screened_out;
     cp_screen_reasons = d.d_screen_reasons;
     cp_repaired = d.d_repaired;
-    cp_reach_seeded = d.d_reach_seeded;
-    cp_specialized = d.d_specialized;
     cp_cow_clones = d.d_cow_clones;
     cp_ic_hits = d.d_ic_hits;
     cp_skipped_cases = d.d_skipped_cases;
@@ -510,30 +475,22 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     |> List.filter (fun l -> l <> [])
   in
   let total = List.length d.d_cases in
-  (* seeded-share accounting: per-case Exec caches die with their worker,
-     so the campaign's tally is a before/after delta of the process-wide
-     counter, folded into [d] (on top of any checkpointed prior) before
-     every snapshot and before the final result *)
-  let seeded0 = Engines.Engine.Exec.seeded_count () in
-  let specialized0 = Compile.specialized_count () in
+  (* statistics accounting: executions happen on workers, so the
+     campaign's tally is a before/after delta of the process-wide counters,
+     folded into [d] (on top of any checkpointed prior) before every
+     snapshot and before the final result *)
   let cow0 = Value.cow_count () in
   let ic0 = Value.ic_count () in
-  let seeded_prior = d.d_reach_seeded in
-  let specialized_prior = d.d_specialized in
   let cow_prior = d.d_cow_clones in
   let ic_prior = d.d_ic_hits in
-  let sync_seeded () =
-    d.d_reach_seeded <-
-      seeded_prior + (Engines.Engine.Exec.seeded_count () - seeded0);
-    d.d_specialized <-
-      specialized_prior + (Compile.specialized_count () - specialized0);
+  let sync_counters () =
     d.d_cow_clones <- cow_prior + (Value.cow_count () - cow0);
     d.d_ic_hits <- ic_prior + (Value.ic_count () - ic0)
   in
   let save_ck () =
     match checkpoint with
     | Some (path, _) ->
-        sync_seeded ();
+        sync_counters ();
         Checkpoint.save path (snapshot d);
         Some path
     | None -> None
@@ -602,16 +559,9 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
             if Quirk.Set.is_empty dev.Difftest.d_fired then
               d.d_unattributed <- d.d_unattributed + 1
             else
-              (* diagnostic re-executions (causal probes, reduction
-                 candidates) run the reach layer off: its static analysis
-                 only pays for itself across a wide per-case sweep, and a
-                 two-run probe on a fresh parse would fund it with nothing
-                 to amortize. Results are bit-identical either way, so the
-                 discovery stream does not depend on this choice. *)
               let causal =
                 Run.Stage.time Run.Stage.attr (fun () ->
-                    causal_quirks ~jobs ?resolve:d.d_resolve ~reach:false
-                      ?specialize:d.d_specialize
+                    causal_quirks ~jobs
                       ~cache:(Lazy.force probe_cache) ~memo:probe_memo tb
                       tc.Testcase.tc_source dev ~fuel:d.d_fuel)
               in
@@ -627,10 +577,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
                           (Run.Stage.time Run.Stage.reduce (fun () ->
                                Reducer.reduce ~jobs
                                  ~still_triggers:
-                                   (Reducer.still_triggers_deviation
-                                      ~share:d.d_share ?resolve:d.d_resolve
-                                      ~reach:false ?specialize:d.d_specialize
-                                      tb dev)
+                                   (Reducer.still_triggers_deviation tb dev)
                                  tc.Testcase.tc_source))
                       else None
                     in
@@ -682,7 +629,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
     (match checkpoint with
     | Some (path, every) when (i + 1) mod every = 0 && i + 1 < total ->
         Run.Stage.time Run.Stage.fold (fun () ->
-            sync_seeded ();
+            sync_counters ();
             Checkpoint.save path (snapshot d))
     | _ -> ());
     match halt_after with
@@ -693,8 +640,8 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
   in
   let worker ((i, tc) : int * Testcase.t) : work =
     (* one execution-sharing cache per case, shared by the per-mode-group
-       sweeps below: the base parses and their reach analyses run once
-       per case instead of once per group. The cache is built and
+       sweeps below: the base parses run once per case instead of once
+       per group. The cache is built and
        consumed entirely inside this worker call (it is not domain-safe).
        A strict-mode testbed may inherit a normal-mode execution that
        reached no mode-dependent point; sharing is exact, so reports are
@@ -708,41 +655,21 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         W_swept
           (List.map
              (fun tbs ->
-               Difftest.sweep_case ~fuel:d.d_fuel ~share:d.d_share
-                 ?resolve:d.d_resolve ?reach:d.d_reach
-                 ?specialize:d.d_specialize ?plan:d.d_plan
+               Difftest.sweep_case ~fuel:d.d_fuel ?plan:d.d_plan
                  ~policy:(Supervisor.policy sup) ~supervisor:sup ~case_key:i
                  ~cache:(Lazy.force case_cache) tbs tc)
              by_mode)
     | None ->
         (* cases are keyed by their submission index, so the audit samples
            are deterministic — the same cases are cross-checked at any job
-           count and across resume; a case matching several audit strides
-           runs the first applicable audit (share, then reach, then
-           specialise), never more than one *)
-        let audit = d.d_audit_share > 0 && i mod d.d_audit_share = 0 in
-        let audit_reach = d.d_audit_reach > 0 && i mod d.d_audit_reach = 0 in
-        let audit_specialize =
-          d.d_audit_specialize > 0 && i mod d.d_audit_specialize = 0
-        in
+           count and across resume *)
+        let audit = d.d_audit > 0 && i mod d.d_audit = 0 in
         W_judged
           (List.map
              (fun tbs ->
-               if audit then
-                 Difftest.audit_case ~fuel:d.d_fuel ?resolve:d.d_resolve
-                   ?reach:d.d_reach ?specialize:d.d_specialize tbs tc
-               else if audit_reach then
-                 Difftest.audit_reach_case ~fuel:d.d_fuel ~share:d.d_share
-                   ?resolve:d.d_resolve ?reach:d.d_reach
-                   ?specialize:d.d_specialize tbs tc
-               else if audit_specialize then
-                 Difftest.audit_specialize_case ~fuel:d.d_fuel
-                   ~share:d.d_share ?resolve:d.d_resolve ?reach:d.d_reach
-                   tbs tc
+               if audit then Difftest.audit_case ~fuel:d.d_fuel tbs tc
                else
-                 Difftest.run_case ~fuel:d.d_fuel ~share:d.d_share
-                   ?resolve:d.d_resolve ?reach:d.d_reach
-                   ?specialize:d.d_specialize
+                 Difftest.run_case ~fuel:d.d_fuel
                    ~cache:(Lazy.force case_cache) tbs tc)
              by_mode)
   in
@@ -759,9 +686,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
             (* an audit divergence is a soundness bug, never a fault to
                absorb — let it poison the run loudly *)
             match e with
-            | Difftest.Share_mismatch _ | Difftest.Reach_unsound _
-            | Difftest.Specialize_mismatch _ ->
-                raise e
+            | Difftest.Audit_mismatch _ -> raise e
             | e -> W_failed e)
           ~stop:(fun () -> d.d_stop)
           worker items
@@ -777,10 +702,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
       | W_judged rs -> Wire_judged rs
       | W_swept sws -> Wire_swept sws
       | W_failed e -> Wire_failed (Printexc.to_string e)
-      | exception Difftest.Share_mismatch m -> Wire_audit (A_share, m)
-      | exception Difftest.Reach_unsound m -> Wire_audit (A_reach, m)
-      | exception Difftest.Specialize_mismatch m ->
-          Wire_audit (A_specialize, m)
+      | exception Difftest.Audit_mismatch m -> Wire_audit m
     in
     (* SIGINT/SIGTERM land between consumes: finish the case in hand,
        write a final checkpoint, and surface [Interrupted] so the
@@ -810,12 +732,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
                     | Wire_swept sws -> W_swept sws
                     | Wire_failed msg ->
                         W_failed (Failure ("worker: " ^ msg))
-                    | Wire_audit (A_share, m) ->
-                        raise (Difftest.Share_mismatch m)
-                    | Wire_audit (A_reach, m) ->
-                        raise (Difftest.Reach_unsound m)
-                    | Wire_audit (A_specialize, m) ->
-                        raise (Difftest.Specialize_mismatch m)
+                    | Wire_audit m -> raise (Difftest.Audit_mismatch m)
                   in
                   consume i tc work))
         with Coordinator.Exhausted msg ->
@@ -829,7 +746,7 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
         raise (Interrupted { int_signal = name; int_at = d.d_consumed; int_checkpoint = ck })
     | None -> ()
   end;
-  sync_seeded ();
+  sync_counters ();
   (* final checkpoint: resuming a finished campaign is a cheap no-op that
      reproduces its result *)
   Run.Stage.time Run.Stage.fold (fun () ->
@@ -839,29 +756,16 @@ let drive ~jobs ~workers ?worker_limits ?checkpoint ?halt_after (d : st) :
 let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     ?(fuel = Difftest.campaign_fuel) ?(reduce = false) ?(screen = true)
     ?(jobs = Executor.default_jobs ())
-    ?(workers = Coordinator.default_workers ()) ?worker_limits ?share
-    ?resolve ?reach ?specialize ?(audit_share = 0) ?(audit_reach = 0)
-    ?(audit_specialize = 0) ?faults ?policy ?checkpoint ?halt_after
-    (fz : fuzzer) : result =
-  let share =
-    match share with Some s -> s | None -> Difftest.share_by_default ()
-  in
+    ?(workers = Coordinator.default_workers ()) ?worker_limits ?(audit = 0)
+    ?faults ?policy ?checkpoint ?halt_after (fz : fuzzer) : result =
   let plan =
     match faults with Some _ -> faults | None -> Supervisor.Faultplan.from_env ()
   in
   let supervised = Option.is_some plan || Option.is_some policy in
-  if audit_share > 0 && supervised then
+  if audit > 0 && supervised then
     invalid_arg
-      "Campaign.run: audit_share cannot be combined with fault injection \
-       or supervision";
-  if audit_reach > 0 && supervised then
-    invalid_arg
-      "Campaign.run: audit_reach cannot be combined with fault injection \
-       or supervision";
-  if audit_specialize > 0 && supervised then
-    invalid_arg
-      "Campaign.run: audit_specialize cannot be combined with fault \
-       injection or supervision";
+      "Campaign.run: audit cannot be combined with fault injection or \
+       supervision";
   let sup = if supervised then Some (Supervisor.create ?policy ()) else None in
   let aborted = ref None in
   (* a fuzzer that dies (e.g. the generator's refill cap) aborts the
@@ -922,16 +826,8 @@ let run ?(testbeds = default_testbeds ()) ?(budget = 200)
     {
       d_fuzzer = fz.fz_name;
       d_fuel = fuel;
-      d_share = share;
-      d_resolve = resolve;
-      d_reach = reach;
-      d_specialize = specialize;
       d_reduce = reduce;
-      d_audit_share = audit_share;
-      d_audit_reach = audit_reach;
-      d_audit_specialize = audit_specialize;
-      d_reach_seeded = 0;
-      d_specialized = 0;
+      d_audit = audit;
       d_cow_clones = 0;
       d_ic_hits = 0;
       d_testbeds = testbeds;
@@ -986,16 +882,8 @@ let resume ?(jobs = Executor.default_jobs ())
     {
       d_fuzzer = ck.Checkpoint.ck_fuzzer;
       d_fuel = ck.Checkpoint.ck_fuel;
-      d_share = ck.Checkpoint.ck_share;
-      d_resolve = ck.Checkpoint.ck_resolve;
-      d_reach = ck.Checkpoint.ck_reach;
-      d_specialize = ck.Checkpoint.ck_specialize;
       d_reduce = ck.Checkpoint.ck_reduce;
-      d_audit_share = ck.Checkpoint.ck_audit_share;
-      d_audit_reach = ck.Checkpoint.ck_audit_reach;
-      d_audit_specialize = ck.Checkpoint.ck_audit_specialize;
-      d_reach_seeded = ck.Checkpoint.ck_reach_seeded;
-      d_specialized = ck.Checkpoint.ck_specialized;
+      d_audit = ck.Checkpoint.ck_audit;
       d_cow_clones = ck.Checkpoint.ck_cow_clones;
       d_ic_hits = ck.Checkpoint.ck_ic_hits;
       d_testbeds = testbeds;

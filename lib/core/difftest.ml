@@ -96,15 +96,6 @@ let signature_of_result (r : Run.result) : signature =
    102-testbed sweep per case. *)
 let campaign_fuel = 300_000
 
-(* Execution sharing is on unless the user opts out, either per call
-   ([~share:false]) or globally via the COMFORT_NO_SHARE environment
-   variable (any non-empty value) — the escape hatch CI uses to run the
-   whole suite down the direct path. *)
-let share_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_SHARE" with
-  | None | Some "" -> true
-  | Some _ -> false
-
 (* The 2t rule (§3.4): an engine that terminated but consumed more than
    twice the slowest of the other engines — with a floor to avoid noise —
    is flagged as a timeout. Each run excludes only itself from the "other
@@ -162,22 +153,20 @@ type sweep = {
     (Engines.Engine.testbed * Jsinterp.Run.result Supervisor.outcome) list;
 }
 
-let sweep_case ?(fuel = campaign_fuel) ?share ?resolve ?reach ?specialize
-    ?plan ?policy ?supervisor ?(case_key = 0) ?cache
+let sweep_case ?(fuel = campaign_fuel) ?(config = Run.Production) ?plan
+    ?policy ?supervisor ?(case_key = 0) ?cache
     (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : sweep =
   Run.Stage.time Run.Stage.sweep @@ fun () ->
-  let share =
-    match share with Some s -> s | None -> share_by_default ()
-  in
   (* one execution-sharing cache per case: edition gating and the
      per-group parse are shared across the whole testbed sweep either
-     way; with [share] on, whole executions are shared across behavioural
-     equivalence classes too (DESIGN.md §8). [cache] lets the campaign
-     driver share one cache across this case's several sweeps (one per
-     mode group) so the base parses and their reach analyses run once per
-     case, not once per group, and a strict-mode testbed can inherit a
-     normal-mode execution that reached no mode-dependent point; it must
-     have been built for [tc]'s source, on the calling domain. *)
+     way; in production, whole executions are shared across behavioural
+     equivalence classes too (DESIGN.md §8), while the reference oracle
+     executes every testbed directly. [cache] lets the campaign driver
+     share one cache across this case's several sweeps (one per mode
+     group) so the base parses run once per case, not once per group,
+     and a strict-mode testbed can inherit a normal-mode execution that
+     reached no mode-dependent point; it must have been built for [tc]'s
+     source, on the calling domain. *)
   let ec =
     match cache with
     | Some ec -> ec
@@ -197,20 +186,20 @@ let sweep_case ?(fuel = campaign_fuel) ?share ?resolve ?reach ?specialize
     List.map
       (fun (tb : Engines.Engine.testbed) ->
         let thunk () =
-          if share then
-            Engines.Engine.Exec.run ~fuel ?resolve ?reach ?specialize ec tb
-          else
-            Engines.Engine.run ~fuel ?resolve ?reach ?specialize
-              ~frontend:(Engines.Engine.Frontend.frontend fc tb)
-              tb tc.Testcase.tc_source
+          match config with
+          | Run.Production -> Engines.Engine.Exec.run ~fuel ec tb
+          | Run.Reference ->
+              Engines.Engine.run ~fuel ~config
+                ~frontend:(Engines.Engine.Frontend.frontend fc tb)
+                tb tc.Testcase.tc_source
         in
         let outcome =
           if not supervised then
             (* happy path: no supervision requested, run bare — a real
                escaped exception then still poisons the item, as before
                this layer existed. The testbed-id string is only built on
-               the supervised path; at ~12.5 executions per case the
-               sprintf was visible in the sweep-stage profile. *)
+               the supervised path; once per testbed per case, the sprintf
+               was visible in the sweep-stage profile. *)
             Supervisor.Done (thunk (), Supervisor.ok_meta)
           else
             let tb_id = Engines.Engine.testbed_id tb in
@@ -354,13 +343,21 @@ let judge ?supervisor (sw : sweep) : case_report =
 (* One differential test, sweep and judge in one go — the entry point for
    everything that tests a case outside a supervised campaign loop. With
    no [plan]/[policy]/[supervisor] this computes exactly what it did
-   before the supervision layer existed. *)
-let run_case ?fuel ?share ?resolve ?reach ?specialize ?plan ?policy
-    ?supervisor ?case_key ?cache (testbeds : Engines.Engine.testbed list)
-    (tc : Testcase.t) : case_report =
+   before the supervision layer existed. [share], [reach] and [specialize]
+   are ignored and [resolve = false] selects [Reference]: those labels are
+   kept only for the benchmark's oracle call, which predates [config]. *)
+let run_case ?fuel ?config ?share:_ ?resolve ?reach:_ ?specialize:_ ?plan
+    ?policy ?supervisor ?case_key ?cache
+    (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
+  let config =
+    match (config, resolve) with
+    | Some c, _ -> c
+    | None, Some false -> Run.Reference
+    | None, _ -> Run.Production
+  in
   judge ?supervisor
-    (sweep_case ?fuel ?share ?resolve ?reach ?specialize ?plan ?policy
-       ?supervisor ?case_key ?cache testbeds tc)
+    (sweep_case ?fuel ~config ?plan ?policy ?supervisor ?case_key ?cache
+       testbeds tc)
 
 (* Field-wise report equality. [Quirk.Set.t] is a balanced tree whose
    shape depends on insertion order, so structural [(=)] on the whole
@@ -384,101 +381,24 @@ let report_equal (a : case_report) (b : case_report) : bool =
   && List.map fst a.cr_faulted = List.map fst b.cr_faulted
   && a.cr_skipped = b.cr_skipped
 
-exception Share_mismatch of string
+exception Audit_mismatch of string
 
-(* The audit mode: run the case down both paths and fail loudly on any
-   divergence. Returns the shared report so an auditing campaign can use
-   it as the real result of the case. *)
-let audit_case ?(fuel = campaign_fuel) ?resolve ?reach ?specialize
-    (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
-  let shared =
-    run_case ~fuel ~share:true ?resolve ?reach ?specialize testbeds tc
-  in
-  let direct =
-    run_case ~fuel ~share:false ?resolve ?reach ?specialize testbeds tc
-  in
-  if not (report_equal shared direct) then
+(* The audit mode: run the case down the production path and the
+   reference oracle and fail loudly on any divergence. Returns the
+   production report so an auditing campaign can use it as the real
+   result of the case. *)
+let audit_case ?(fuel = campaign_fuel) (testbeds : Engines.Engine.testbed list)
+    (tc : Testcase.t) : case_report =
+  let production = run_case ~fuel ~config:Run.Production testbeds tc in
+  let reference = run_case ~fuel ~config:Run.Reference testbeds tc in
+  if not (report_equal production reference) then
     raise
-      (Share_mismatch
+      (Audit_mismatch
          (Printf.sprintf
-            "execution sharing changed the report of case %d \
-             (shared: %d deviations, direct: %d)\nsource:\n%s"
+            "the production path changed the report of case %d \
+             (production: %d deviations, reference: %d)\nsource:\n%s"
             tc.Testcase.tc_id
-            (List.length shared.cr_deviations)
-            (List.length direct.cr_deviations)
+            (List.length production.cr_deviations)
+            (List.length reference.cr_deviations)
             tc.Testcase.tc_source));
-  shared
-
-exception Reach_unsound of string
-
-(* The reach-audit mode: before producing the case's ordinary report,
-   execute the case *directly* (no sharing, so every testbed's own
-   r_touched is observed, not inherited) on every applicable testbed and
-   assert the static reach set of its parse group covers the dynamic
-   touched set. A violation is a soundness bug in [Analysis.Reach] —
-   never a fault to absorb. *)
-let audit_reach_case ?(fuel = campaign_fuel) ?share ?resolve ?reach
-    ?specialize (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) :
-    case_report =
-  let fc = Engines.Engine.Frontend.cache tc.Testcase.tc_source in
-  List.iter
-    (fun (tb : Engines.Engine.testbed) ->
-      if Engines.Engine.Frontend.supports fc tb.Engines.Engine.tb_config
-      then begin
-        let fe = Engines.Engine.Frontend.frontend fc tb in
-        let r =
-          (* the dynamic touched set must be the testbed's own observation,
-             so this probe runs generic: a specialised closure's baked-in
-             answers record the same touched set, but the audit should not
-             have to trust that *)
-          Engines.Engine.run ~fuel ?resolve ?reach ~specialize:false
-            ~frontend:fe tb tc.Testcase.tc_source
-        in
-        let static = Jsinterp.Run.reach_set fe in
-        if not (Jsinterp.Quirk.Set.subset r.Run.r_touched static) then
-          let missing =
-            Jsinterp.Quirk.Set.diff r.Run.r_touched static
-            |> Jsinterp.Quirk.Set.elements
-            |> List.map Jsinterp.Quirk.to_string
-            |> String.concat ", "
-          in
-          raise
-            (Reach_unsound
-               (Printf.sprintf
-                  "static reach set of case %d misses checkpoints consulted \
-                   on %s: %s\nsource:\n%s"
-                  tc.Testcase.tc_id
-                  (Engines.Engine.testbed_id tb)
-                  missing tc.Testcase.tc_source))
-      end)
-    testbeds;
-  run_case ~fuel ?share ?resolve ?reach ?specialize testbeds tc
-
-exception Specialize_mismatch of string
-
-(* The specialise-audit mode: run the case once down the quirk-specialised
-   fast path and once down the generic compiled path, and fail loudly on
-   any field-wise report divergence. This is the dynamic check backing the
-   static argument of DESIGN.md §12: baked-in checkpoint answers, inline
-   caches and copy-on-write realm reuse must all be invisible in results.
-   Returns the specialised report so an auditing campaign can use it as
-   the real result of the case. *)
-let audit_specialize_case ?(fuel = campaign_fuel) ?share ?resolve ?reach
-    (testbeds : Engines.Engine.testbed list) (tc : Testcase.t) : case_report =
-  let fast =
-    run_case ~fuel ?share ?resolve ?reach ~specialize:true testbeds tc
-  in
-  let generic =
-    run_case ~fuel ?share ?resolve ?reach ~specialize:false testbeds tc
-  in
-  if not (report_equal fast generic) then
-    raise
-      (Specialize_mismatch
-         (Printf.sprintf
-            "quirk specialisation changed the report of case %d \
-             (specialised: %d deviations, generic: %d)\nsource:\n%s"
-            tc.Testcase.tc_id
-            (List.length fast.cr_deviations)
-            (List.length generic.cr_deviations)
-            tc.Testcase.tc_source));
-  fast
+  production

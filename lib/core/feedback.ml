@@ -88,13 +88,11 @@ let fuzzer (t : t) : Campaign.fuzzer =
    accumulated over all rounds. *)
 let run_rounds ?(testbeds = Campaign.default_testbeds ()) ?(rounds = 4)
     ?(budget_per_round = 500) ?(fuel = Difftest.campaign_fuel)
-    ?(jobs = Executor.default_jobs ()) ?share ?resolve ?reach ?specialize
-    (t : t) : Campaign.result =
+    ?(jobs = Executor.default_jobs ()) (t : t) : Campaign.result =
   let merged : Campaign.result option ref = ref None in
   for _ = 1 to rounds do
     let res =
-      Campaign.run ~testbeds ~budget:budget_per_round ~fuel ~jobs ?share
-        ?resolve ?reach ?specialize (fuzzer t)
+      Campaign.run ~testbeds ~budget:budget_per_round ~fuel ~jobs (fuzzer t)
     in
     (* bank this round's exposing cases *)
     List.iter (fun d -> record t d.Campaign.disc_case) res.Campaign.cp_discoveries;
@@ -140,10 +138,6 @@ let run_rounds ?(testbeds = Campaign.default_testbeds ()) ?(rounds = 4)
                  |> List.sort (fun (a, _) (b, _) -> compare a b));
               cp_repaired =
                 acc.Campaign.cp_repaired + res.Campaign.cp_repaired;
-              cp_reach_seeded =
-                acc.Campaign.cp_reach_seeded + res.Campaign.cp_reach_seeded;
-              cp_specialized =
-                acc.Campaign.cp_specialized + res.Campaign.cp_specialized;
               cp_cow_clones =
                 acc.Campaign.cp_cow_clones + res.Campaign.cp_cow_clones;
               cp_ic_hits =

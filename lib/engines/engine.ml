@@ -48,19 +48,20 @@ let latest_testbeds ?(mode = Normal) () : testbed list =
     (fun e -> { tb_config = Registry.latest e; tb_mode = mode })
     Registry.all_engines
 
-let run ?(fuel = Run.default_fuel) ?(coverage = false) ?resolve ?reach
-    ?specialize ?frontend (tb : testbed) (src : string) : Run.result =
+let run ?(fuel = Run.default_fuel) ?(coverage = false) ?config ?frontend
+    (tb : testbed) (src : string) : Run.result =
   Run.run
     ~quirks:tb.tb_config.Registry.cfg_quirks
     ~parse_opts:(Registry.parse_opts_of_config tb.tb_config)
     ~strict:(tb.tb_mode = Strict)
-    ~fuel ~coverage ?resolve ?reach ?specialize ?frontend src
+    ~fuel ~coverage ?config ?frontend src
 
-(* A reference run: the standard-conforming engine with no quirks. Used by
-   the reducer and by examples as the "expected" behaviour. *)
-let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?resolve ?reach
-    ?specialize (src : string) : Run.result =
-  Run.run ~strict ~fuel ?resolve ?reach ?specialize src
+(* A reference run: the standard-conforming engine with no quirks, on the
+   production core. Used by the reducer and by examples as the "expected"
+   behaviour. *)
+let run_reference ?(fuel = Run.default_fuel) ?(strict = false) (src : string)
+    : Run.result =
+  Run.run ~strict ~fuel src
 
 (* Can this configuration's front end parse the program at all? Used by the
    campaign to honour the paper's rule of only testing engines against
@@ -90,7 +91,7 @@ let supports (c : Registry.config) (src : string) : bool =
      covers the sunk quirks — and, for strict groups, whose source
      contains no strict-sensitive construct (or opts into strict
      itself) — parses identically and shares the base front end
-     outright, compilations, reach analysis and all. An ES5 base parse
+     outright, compilations and all. An ES5 base parse
      that accepts the source as the standard one did (same sunk quirks,
      same strict sensitivity) folds into the standard base front end, so
      in the common case every testbed runs one front end, and the whole
@@ -143,11 +144,9 @@ module Frontend = struct
           if es5 then Jsparse.Parser.es5_options
           else Jsparse.Parser.default_options
         in
-        (* [reach_strict]: the base front end may serve strict groups,
-           and the strict reach set is a superset of the sloppy one *)
         let fe =
           Run.parse_frontend ~quirks:permissive_quirks ~parse_opts
-            ~strict:false ~reach_strict:true fc.fc_src
+            ~strict:false fc.fc_src
         in
         (* the ES5 fold: ES5 options only add rejections, so when the ES5
            parse accepts the source leaning on the same quirks and meeting
@@ -283,22 +282,6 @@ end
    source string and is NOT domain-safe: the campaign executor builds one
    per case inside the worker that owns the case. *)
 module Exec = struct
-  (* A class entry holds the representative list (ground truth, oldest
-     first) plus the static partition cells hanging off it. A cell key is
-     the quirk set ∩ the front end's static reach set, packed into its two
-     machine words ([Quirk.Bits]): a Quirk.Set.t has order-dependent tree
-     shape, and a sorted element list allocates and hashes slowly. The
-     static reach set over-approximates every touched set of the front
-     end, so two quirk sets in one cell agree on every checkpoint any
-     execution can consult — a cell hit shares without scanning the full
-     class list. Purely an acceleration: the class list stays the ground
-     truth, so executions performed are identical with or without the
-     analysis. Cells live inside the class entry as a small inline list
-     with the two cell words compared directly: a class sees at most a
-     handful of distinct cells, and polymorphic hashing of structured
-     keys (~0.5µs per call, ~40k calls per campaign) cost more than the
-     cells save. The inline walk is two integer compares per entry and
-     allocates nothing on the lookup path. *)
   type rep = {
     rp_ex : Run.exec;
     rp_pk : int;
@@ -309,12 +292,6 @@ module Exec = struct
            a mode-dependent point ([ex_mode_touched]) *)
   }
 
-  type cell = {
-    ce_lo : int;
-    ce_hi : int;  (* quirks ∩ reach set, packed ([Quirk.Bits]) *)
-    mutable ce_reps : rep list;
-  }
-
   (* One class table entry, keyed by the physical front end and the fuel
      budget (fuel is in the key so a cache survives mixed budgets). A case
      sees one to three front ends, so the table is a short list compared
@@ -323,7 +300,6 @@ module Exec = struct
     cl_fe : Run.frontend;
     cl_fuel : int;
     mutable cl_reps : rep list;
-    mutable cl_cells : cell list;
   }
 
   type cache = {
@@ -331,27 +307,10 @@ module Exec = struct
     mutable ec_classes : cls list;
     mutable ec_executed : int;  (* real interpreter executions *)
     mutable ec_shared : int;    (* runs answered by class inheritance *)
-    mutable ec_seeded : int;    (* shared runs answered by the static cell *)
   }
 
-  (* Process-wide tally of cell-hit shares, the analogue of
-     [Run.run_count]: per-case caches die with their worker, so campaign
-     stats read a before/after delta of this counter instead. *)
-  let seeded_total = Atomic.make 0
-  let seeded_count () = Atomic.get seeded_total
-
-  (* Fold a forked campaign worker's reach-seeded delta into this
-     process's count (see [Run.add_runs]). *)
-  let add_seeded n = if n > 0 then ignore (Atomic.fetch_and_add seeded_total n)
-
   let of_frontend (fc : Frontend.cache) : cache =
-    {
-      ec_frontend = fc;
-      ec_classes = [];
-      ec_executed = 0;
-      ec_shared = 0;
-      ec_seeded = 0;
-    }
+    { ec_frontend = fc; ec_classes = []; ec_executed = 0; ec_shared = 0 }
 
   let cache (src : string) : cache = of_frontend (Frontend.cache src)
 
@@ -360,16 +319,11 @@ module Exec = struct
     Frontend.supports ec.ec_frontend c
 
   let stats (ec : cache) = (ec.ec_executed, ec.ec_shared)
-  let seeded (ec : cache) = ec.ec_seeded
 
-
-  let run_keyed ?resolve ?reach ?specialize ?qbits (ec : cache)
+  let run_keyed ?qbits (ec : cache)
       ~(pkey : Registry.parse_key) ~(quirks : Quirk.Set.t)
       ~(parse_opts : Jsparse.Parser.options) ~(strict : bool) ~(fuel : int)
       : Run.result =
-    let reach =
-      match reach with Some r -> r | None -> Run.reach_by_default ()
-    in
     (* packed quirk words; callers on the campaign hot path pass the
        precomputed [Registry.cfg_qbits] so nothing is rebuilt per case *)
     let qbits =
@@ -383,20 +337,12 @@ module Exec = struct
     | Error _ ->
         (* nothing executes; [run ~frontend] only renders the stored
            syntax error and filters the sunk parse quirks *)
-        Run.run ~quirks ~parse_opts ~strict ~fuel ?resolve ~reach ?specialize
-          ~frontend:fe
+        Run.run ~quirks ~parse_opts ~strict ~fuel ~frontend:fe
           (Frontend.source ec.ec_frontend)
     | Ok _ -> (
         let rec find_cls = function
           | [] ->
-              let c =
-                {
-                  cl_fe = fe;
-                  cl_fuel = fuel;
-                  cl_reps = [];
-                  cl_cells = [];
-                }
-              in
+              let c = { cl_fe = fe; cl_fuel = fuel; cl_reps = [] } in
               ec.ec_classes <- c :: ec.ec_classes;
               c
           | c :: tl ->
@@ -404,26 +350,6 @@ module Exec = struct
               else find_cls tl
         in
         let cls = find_cls ec.ec_classes in
-        (* the static cell of this quirk set, when the analysis is on:
-           two machine words of intersection, then an inline walk of the
-           class's few cells — no hashing, no allocation *)
-        let bucket =
-          if not reach then None
-          else begin
-            let qlo, qhi = qbits in
-            let rlo, rhi = Lazy.force fe.Run.fe_reach_bits in
-            let lo = qlo land rlo and hi = qhi land rhi in
-            let rec find = function
-              | [] ->
-                  let c = { ce_lo = lo; ce_hi = hi; ce_reps = [] } in
-                  cls.cl_cells <- c :: cls.cl_cells;
-                  c
-              | c :: tl ->
-                  if c.ce_lo = lo && c.ce_hi = hi then c else find tl
-            in
-            Some (find cls.cl_cells)
-          end
-        in
         (* the class condition, plus two guards: an execution that
            reparsed ([eval]) read its parse options, so it lends its
            result only within its own parse key, and one that reached a
@@ -434,53 +360,27 @@ module Exec = struct
           && ((not r.rp_ex.Run.ex_reparsed) || r.rp_pk = pk)
           && ((not r.rp_ex.Run.ex_mode_touched) || r.rp_strict = strict)
         in
-        let cell_hit =
-          match bucket with
-          | Some c -> List.find_opt matches c.ce_reps
-          | None -> None
-        in
-        match cell_hit with
+        match List.find_opt matches cls.cl_reps with
         | Some r ->
-            (* same-cell representative: [shares_class] is implied by the
-               cell equality (touched ⊆ reach set), and re-checked above
-               as a cheap defence against an unsound analysis *)
             ec.ec_shared <- ec.ec_shared + 1;
-            ec.ec_seeded <- ec.ec_seeded + 1;
-            Atomic.incr seeded_total;
             Run.share ~frontend:fe ~quirks r.rp_ex
-        | None -> (
-            match List.find_opt matches cls.cl_reps with
-            | Some r ->
-                (* cross-cell share (the representative's cell differs on
-                   some statically-reachable but dynamically-untouched
-                   checkpoint): remember it in this cell too, so the next
-                   same-cell member hits without the full scan *)
-                ec.ec_shared <- ec.ec_shared + 1;
-                (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
-                | None -> ());
-                Run.share ~frontend:fe ~quirks r.rp_ex
-            | None ->
-                (* split: no representative validates this quirk set (and
-                   parse key and mode), so it seeds a new class with a
-                   direct execution *)
-                let ex =
-                  Run.run_exec ~quirks ~parse_opts ~strict ~fuel ?resolve
-                    ~reach ?specialize ~frontend:fe
-                    (Frontend.source ec.ec_frontend)
-                in
-                let r = { rp_ex = ex; rp_pk = pk; rp_strict = strict } in
-                ec.ec_executed <- ec.ec_executed + 1;
-                cls.cl_reps <- cls.cl_reps @ [ r ];
-                (match bucket with
-                | Some c -> c.ce_reps <- c.ce_reps @ [ r ]
-                | None -> ());
-                ex.Run.ex_result))
+        | None ->
+            (* split: no representative validates this quirk set (and
+               parse key and mode), so it seeds a new class with a direct
+               execution *)
+            let ex =
+              Run.run_exec ~quirks ~parse_opts ~strict ~fuel ~frontend:fe
+                (Frontend.source ec.ec_frontend)
+            in
+            let r = { rp_ex = ex; rp_pk = pk; rp_strict = strict } in
+            ec.ec_executed <- ec.ec_executed + 1;
+            cls.cl_reps <- cls.cl_reps @ [ r ];
+            ex.Run.ex_result)
 
-  let run ?(fuel = Run.default_fuel) ?resolve ?reach ?specialize (ec : cache)
-      (tb : testbed) : Run.result =
+  let run ?(fuel = Run.default_fuel) (ec : cache) (tb : testbed) : Run.result
+      =
     let cfg = tb.tb_config in
-    run_keyed ?resolve ?reach ?specialize ~qbits:cfg.Registry.cfg_qbits ec
+    run_keyed ~qbits:cfg.Registry.cfg_qbits ec
       ~pkey:(Registry.parse_key cfg)
       ~quirks:cfg.Registry.cfg_quirks
       ~parse_opts:(Registry.parse_opts_of_config cfg)
@@ -491,9 +391,9 @@ module Exec = struct
      shared base front end — and (having no quirks at all) shares any
      class on it whose representative fired nothing it touched, provided
      that representative did not reparse under other parse options. *)
-  let run_reference ?(fuel = Run.default_fuel) ?(strict = false) ?resolve
-      ?reach ?specialize (ec : cache) : Run.result =
-    run_keyed ?resolve ?reach ?specialize ~qbits:Quirk.Bits.empty ec
+  let run_reference ?(fuel = Run.default_fuel) ?(strict = false) (ec : cache)
+      : Run.result =
+    run_keyed ~qbits:Quirk.Bits.empty ec
       ~pkey:Registry.reference_parse_key
       ~quirks:Quirk.Set.empty
       ~parse_opts:Jsparse.Parser.default_options ~strict ~fuel

@@ -21,35 +21,22 @@ val all_testbeds : testbed list
 val latest_testbeds : ?mode:mode -> unit -> testbed list
 
 (** Execute a source program on a testbed. [frontend] reuses a pre-parsed
-    front end (see {!Frontend}), skipping this run's own parse. [resolve]
-    selects slot-compiled execution (default [Run.resolve_by_default]);
-    [reach] lets the compiler fold statically-unreachable checkpoint
-    consultations (default [Run.reach_by_default]); [specialize] selects
-    the quirk-specialised fast path — copy-on-write realms, per-cell
-    compiled closures, inline caches (default
-    [Run.specialize_by_default]); results are bit-for-bit identical
-    either way. *)
+    front end (see {!Frontend}), skipping this run's own parse. [config]
+    selects the production core (default) or the reference oracle
+    ({!Jsinterp.Run.config}); results are bit-for-bit identical either
+    way. *)
 val run :
   ?fuel:int ->
   ?coverage:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?config:Jsinterp.Run.config ->
   ?frontend:Jsinterp.Run.frontend ->
   testbed ->
   string ->
   Jsinterp.Run.result
 
-(** The standard-conforming engine with no quirks — the oracle used by the
-    reducer and examples. *)
-val run_reference :
-  ?fuel:int ->
-  ?strict:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
-  string ->
-  Jsinterp.Run.result
+(** The standard-conforming engine with no quirks, on the production core —
+    the "expected" behaviour used by the reducer and examples. *)
+val run_reference : ?fuel:int -> ?strict:bool -> string -> Jsinterp.Run.result
 
 (** Can this configuration's front end express the program at all? Used to
     honour the paper's rule of only testing engines against programs within
@@ -103,10 +90,10 @@ end
     (soundness argument in DESIGN.md §8). A representative that parsed
     source at run time ([eval], [Run.exec.ex_reparsed]) shares only
     within its own parse key, and one that reached a mode-dependent point
-    ([Run.exec.ex_mode_touched]) only within its own mode. Classes are found by a bounded
-    split-and-rerun fixpoint validated against each representative's own
-    touched set. Mutable, single-domain, tied to one source string, like
-    {!Frontend.cache}. *)
+    ([Run.exec.ex_mode_touched]) only within its own mode. Classes are
+    found by a bounded split-and-rerun fixpoint validated against each
+    representative's own touched set. Executions run on the production core. Mutable,
+    single-domain, tied to one source string, like {!Frontend.cache}. *)
 module Exec : sig
   type cache
 
@@ -124,21 +111,6 @@ module Exec : sig
       runs answered by class inheritance. *)
   val stats : cache -> int * int
 
-  (** Shared runs answered by the static reach partition's fast path
-      (a subset of the shares counted by {!stats}) — with the analysis
-      off, always 0. Sharing decisions and execution counts are
-      identical either way; only the lookup path differs. *)
-  val seeded : cache -> int
-
-  (** Process-wide cumulative {!seeded} across all caches (the analogue
-      of [Run.run_count]); campaign statistics read before/after
-      deltas. *)
-  val seeded_count : unit -> int
-
-  (** Fold a forked campaign worker's {!seeded_count} delta into this
-      process's count (see [Run.add_runs]). No-op for [n <= 0]. *)
-  val add_seeded : int -> unit
-
   (** Execute an arbitrary quirk profile on the cached source, sharing
       across its behavioural equivalence class — the generalisation of
       {!run} to profiles not backed by a registry config (the campaign's
@@ -150,9 +122,6 @@ module Exec : sig
       [qbits] defaults to packing [quirks]; pass a precomputed value on
       hot paths. *)
   val run_keyed :
-    ?resolve:bool ->
-    ?reach:bool ->
-    ?specialize:bool ->
     ?qbits:Jsinterp.Quirk.Bits.t ->
     cache ->
     pkey:Registry.parse_key ->
@@ -164,23 +133,9 @@ module Exec : sig
 
   (** Execute [tb] on the cached source, sharing across the testbed's
       equivalence class. Same contract as {!Engine.run} on that source. *)
-  val run :
-    ?fuel:int ->
-    ?resolve:bool ->
-    ?reach:bool ->
-    ?specialize:bool ->
-    cache ->
-    testbed ->
-    Jsinterp.Run.result
+  val run : ?fuel:int -> cache -> testbed -> Jsinterp.Run.result
 
   (** The conforming reference engine through the same cache (same
       contract as {!Engine.run_reference} on the cached source). *)
-  val run_reference :
-    ?fuel:int ->
-    ?strict:bool ->
-    ?resolve:bool ->
-    ?reach:bool ->
-    ?specialize:bool ->
-    cache ->
-    Jsinterp.Run.result
+  val run_reference : ?fuel:int -> ?strict:bool -> cache -> Jsinterp.Run.result
 end

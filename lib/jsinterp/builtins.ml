@@ -188,8 +188,9 @@ let install (ctx : ctx) : unit =
             (fun ctx _ args ->
               (* resolve the prototype through the calling realm, never
                  through the installing one: builtin closures are shared
-                 across realm snapshots (Realm), so capturing [proto]
-                 here would leak objects between executions *)
+                 by every execution that borrows the realm template
+                 (Realm), so capturing [proto] here would leak objects
+                 between executions *)
               let o = make_obj ~oclass:"Error" ~proto:(proto_of ctx kind) () in
               (match arg 0 args with
               | Undefined -> ()

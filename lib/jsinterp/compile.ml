@@ -36,56 +36,10 @@ type frame = {
   mutable bridge : scope option;
 }
 
-type gstate = {
-  mutable gs_deopts : int;
-  gs_folded : Quirk.Set.t;
-      (** checkpoints the static reachability analysis proved unreachable;
-          their compiled consultation sites are folded to [Deopt_to_tree]
-          traps — or, under specialisation, all the way to their quirk-off
-          constants (see [checkpoint]) *)
-  gs_cell : Quirk.Set.t option;
-      (** specialisation cell: [Some c] compiles one closure for the
-          equivalence cell whose quirk set intersected with the inline
-          checkpoints is exactly [c] — every compiled consultation bakes in
-          its answer and only records the consultation. [None] compiles the
-          generic form (identical to what PR 6 produced). *)
-}
-
-(* Checkpoint consultation at a compiled deviation site.
-
-   Generic form ([gs_cell = None]): the plain [fire] consultation, except
-   that a checkpoint the static reachability analysis ([Analysis.Reach])
-   proved unreachable collapses to a [Deopt_to_tree] trap — if the
-   analysis was ever wrong the execution discards its context and replays
-   tree-walked, so results stay exact and the soundness audit still sees
-   the true touched set.
-
-   Specialised form ([gs_cell = Some c]): the compilation is already
-   per-cell, so every site constant-folds its answer. A statically-dead
-   site folds to its quirk-off constant outright (not even a trap — the
-   sound analysis guarantees the site cannot execute, and
-   [--audit-specialize] cross-checks against the generic form); a live
-   site keeps the [ctx.touched] recording — the execution-sharing class
-   key — and bakes in the membership test and, when on, the [ctx.fired]
-   attribution. *)
-let checkpoint (gs : gstate) (q : Quirk.t) : ctx -> bool =
-  if Quirk.Set.mem q gs.gs_folded then
-    match gs.gs_cell with
-    | Some _ -> fun _ -> false
-    | None -> fun _ -> raise Deopt_to_tree
-  else
-    match gs.gs_cell with
-    | None -> fun ctx -> fire ctx q
-    | Some cell ->
-        if Quirk.Set.mem q cell then fun ctx ->
-          Value.touch_fire ctx q;
-          true
-        else fun ctx ->
-          Value.touch ctx q;
-          false
+type gstate = { mutable gs_deopts : int }
 
 (* --- monomorphic inline caches --------------------------------------
-   Compiled (specialised) property sites remember the last receiver they
+   Compiled property sites on a constant key remember the last receiver they
    saw: on [a.k] (load, method load) the cache keys on the receiver's
    physical identity plus its layout [version] and short-circuits straight
    to the cached property record, skipping [Ops.get]'s dispatch and the
@@ -196,15 +150,6 @@ let ic_set (st : ic) ctx ~strict (recv : value) (key : string) (v : value) :
                 st.ic_e <- Ic_own (ctx.ic_gen, o, o.version, p)
             | _ -> ()))
   | _ -> Ops.set ctx ~strict recv key v
-
-(* Process-wide count of specialised compilations, surfaced by campaign
-   reports as [cp_specialized]. *)
-let specialized = Atomic.make 0
-let specialized_count () = Atomic.get specialized
-
-(* Fold a forked campaign worker's specialisation delta into this
-   process's count (see [Run.add_runs]). *)
-let add_specialized n = if n > 0 then ignore (Atomic.fetch_and_add specialized n)
 
 let mk_frame (names : string array) (frz : string list) (parent : frame option)
     : frame =
@@ -337,11 +282,12 @@ let compile_typeof_ident (env : R.level list) (name : string) :
     | None -> Interp.ident_typeof_miss ctx name
 
 (* Assignment to a bare identifier — the static image of
-   [Interp.assign_ident], with the same frozen-binding checkpoint
-   ([Q_named_funcexpr_binding_mutable]) at a frozen terminal. *)
-let compile_assign_ident (gs : gstate) (env : R.level list) ~strict
-    (name : string) : ctx -> frame -> value -> unit =
-  let chk_nfe = checkpoint gs Quirk.Q_named_funcexpr_binding_mutable in
+   [Interp.assign_ident]. A frozen terminal (a named function expression's
+   own name) never compiles: [Resolve.stmts_deopt] deopts every function
+   that writes a frozen name, so only the tree-walker runs that path. Should
+   one slip through, it replays the whole run tree-walked. *)
+let compile_assign_ident (env : R.level list) ~strict (name : string) :
+    ctx -> frame -> value -> unit =
   let acc = R.resolve_access env name in
   match (acc.R.ac_candidates, acc.R.ac_terminal) with
   | [], Some { R.tg_depth = d; tg_slot = i; tg_frozen = false } ->
@@ -359,18 +305,9 @@ let compile_assign_ident (gs : gstate) (env : R.level list) ~strict
           end
           else
             match term with
-            | Some { R.tg_depth = d; tg_slot = i; tg_frozen } ->
-                if tg_frozen then begin
-                  if chk_nfe ctx then (frame_at d fr).slots.(i) := v
-                  else begin
-                    touch_mode ctx;
-                    if strict then
-                      Ops.type_error ctx
-                        ("assignment to constant variable " ^ name)
-                    (* sloppy: silent no-op *)
-                  end
-                end
-                else (frame_at d fr).slots.(i) := v
+            | Some { R.tg_frozen = true; _ } -> raise Deopt_to_tree
+            | Some { R.tg_depth = d; tg_slot = i; _ } ->
+                (frame_at d fr).slots.(i) := v
             | None -> Interp.assign_ident ctx ctx.global_scope strict name v
         in
         go 0
@@ -533,12 +470,11 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
         Bool (not (Ops.to_boolean (oc ctx fr)))
   | Ast.Unary (Ast.Uneg, ox) ->
       let oc = ce ox in
-      let chk_negz = checkpoint gs Quirk.Q_codegen_neg_zero_positive in
       fun ctx fr ->
         burn ctx 1;
         let f = Ops.to_number ctx (oc ctx fr) in
         let r = -.f in
-        if r = 0.0 && chk_negz ctx then Num 0.0 else Num r
+        if r = 0.0 && fire ctx Quirk.Q_codegen_neg_zero_positive then Num 0.0 else Num r
   | Ast.Unary (Ast.Uplus, ox) ->
       let oc = ce ox in
       fun ctx fr ->
@@ -597,7 +533,6 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
             v
       | Some bop ->
           let lread = ce lhs in
-          let chk_concat = checkpoint gs Quirk.Q_opt_loop_strconcat_drops in
           fun ctx fr ->
             burn ctx 1;
             let rv = rc ctx fr in
@@ -609,7 +544,7 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
               match (result, bop) with
               | Str _, Ast.Add
                 when ctx.loop_trip > 100 && ctx.strconcat_drop_armed
-                     && chk_concat ctx ->
+                     && fire ctx Quirk.Q_opt_loop_strconcat_drops ->
                   ctx.strconcat_drop_armed <- false;
                   old
               | _ -> result
@@ -643,9 +578,9 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
   | Ast.Call (fx, args) -> (
       let argcs = List.map ce args in
       match fx.Ast.e with
-      | Ast.Member (ox, Ast.Pfield key) when gs.gs_cell <> None ->
-          (* specialised method call on a constant key: the method load
-             goes through an inline cache *)
+      | Ast.Member (ox, Ast.Pfield key) ->
+          (* method call on a constant key: the method load goes through
+             an inline cache *)
           let oc = ce ox in
           let st = ic_site key in
           fun ctx fr ->
@@ -657,23 +592,15 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
                 (Printf.sprintf "%s.%s is not a function" (type_of ov) key);
             let argv = List.map (fun ac -> ac ctx fr) argcs in
             Interp.call_function ctx fv ov argv
-      | Ast.Member (ox, prop) ->
+      | Ast.Member (ox, Ast.Pindex e) ->
           (* method call: receiver becomes [this]; the Member node itself
              is never evaluated by [Interp.eval_call], so it pays no burn *)
           let oc = ce ox in
-          let kc =
-            match prop with
-            | Ast.Pfield n -> `Const n
-            | Ast.Pindex e -> `Dyn (ce e)
-          in
+          let kc = ce e in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
-            let key =
-              match kc with
-              | `Const k -> k
-              | `Dyn kc -> Ops.to_string ctx (kc ctx fr)
-            in
+            let key = Ops.to_string ctx (kc ctx fr) in
             let fv = Ops.get ctx ov key in
             if not (is_callable fv) then
               Ops.type_error ctx
@@ -698,17 +625,12 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
   | Ast.Member (ox, prop) -> (
       let oc = ce ox in
       match prop with
-      | Ast.Pfield n when gs.gs_cell <> None ->
+      | Ast.Pfield n ->
           let st = ic_site n in
           fun ctx fr ->
             burn ctx 1;
             let ov = oc ctx fr in
             ic_get st ctx ov n
-      | Ast.Pfield n ->
-          fun ctx fr ->
-            burn ctx 1;
-            let ov = oc ctx fr in
-            Ops.get ctx ov n
       | Ast.Pindex e ->
           let kc = ce e in
           fun ctx fr ->
@@ -750,13 +672,12 @@ let rec compile_expr (gs : gstate) (env : R.level list) ~strict
 and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
     ctx -> frame -> value -> unit =
   match lhs.Ast.e with
-  | Ast.Ident name -> compile_assign_ident gs env ~strict name
+  | Ast.Ident name -> compile_assign_ident env ~strict name
   | Ast.Member (ox, prop) -> (
       let oc = compile_expr gs env ~strict ~frz ox in
       match prop with
       | Ast.Pindex ix ->
           let kc = compile_expr gs env ~strict ~frz ix in
-          let chk_bool = checkpoint gs Quirk.Q_bool_prop_appends_to_array in
           fun ctx fr v -> (
             let ov = oc ctx fr in
             (* QuickJS quirk (Listing 6): boolean key on an array appends *)
@@ -764,7 +685,8 @@ and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
             | Obj ({ arr = Some arr; _ } as o) -> (
                 let kv = kc ctx fr in
                 match kv with
-                | Bool true when arr.ty = None && chk_bool ctx ->
+                | Bool true
+                  when arr.ty = None && fire ctx Quirk.Q_bool_prop_appends_to_array ->
                     Ops.array_store ctx o arr arr.alen v
                 | Num f when is_index f ->
                     (* [Ops.set]'s burn, then [set_obj]'s index branch *)
@@ -774,15 +696,11 @@ and compile_assign_target gs env ~strict ~frz (lhs : Ast.expr) :
             | _ ->
                 let key = Ops.to_string ctx (kc ctx fr) in
                 Ops.set ctx ~strict ov key v)
-      | Ast.Pfield key when gs.gs_cell <> None ->
+      | Ast.Pfield key ->
           let st = ic_site key in
           fun ctx fr v ->
             let ov = oc ctx fr in
-            ic_set st ctx ~strict ov key v
-      | Ast.Pfield key ->
-          fun ctx fr v ->
-            let ov = oc ctx fr in
-            Ops.set ctx ~strict ov key v)
+            ic_set st ctx ~strict ov key v)
   | _ -> fun ctx _ _ -> Ops.type_error ctx "invalid assignment target"
 
 (* Statement bodies that the tree-walker runs in a fresh block scope:
@@ -1158,7 +1076,6 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
   else begin
     let strict_f = strict || Interp.body_is_strict f.Ast.body in
     let observes_this = Analysis.Reach.observes_this f in
-    let chk_this = checkpoint gs Quirk.Q_strict_this_is_global in
     (* named function expressions (and declarations) see their own name as
        an immutable binding in a scope of its own *)
     let self, env, frz =
@@ -1242,7 +1159,8 @@ and compile_function gs env ~strict ~frz ~node_id (f : Ast.func) :
                   else begin
                     touch_mode ctx;
                     if strict_f then
-                      if chk_this ctx then Obj ctx.global else Undefined
+                      if fire ctx Quirk.Q_strict_this_is_global then Obj ctx.global
+                      else Undefined
                     else Obj ctx.global
                   end
               | v -> v)
@@ -1300,59 +1218,21 @@ type t = {
       (** execute; returns the completion value like [Interp.exec_in_scope] *)
   cp_slotted : bool;  (** false: the whole program deopted to the tree *)
   cp_deopt_fns : int; (** function definition sites that deopted *)
-  cp_folded : int;
-      (** compiled deviation checkpoints folded away as statically
-          unreachable (0 when compiled without a reach set) *)
   cp_shadows_specials : bool;
 }
 
-(* The deviation checkpoints compiled inline (everything else funnels
-   through [Interp]/[Ops]/builtin code shared with the tree-walker, where
-   the consultations stay as written). Only these are fold candidates, and
-   only these are what a specialisation cell can bake in. *)
-let compiled_checkpoint_list =
-  [
-    Quirk.Q_named_funcexpr_binding_mutable;
-    Quirk.Q_codegen_neg_zero_positive;
-    Quirk.Q_opt_loop_strconcat_drops;
-    Quirk.Q_bool_prop_appends_to_array;
-    Quirk.Q_strict_this_is_global;
-  ]
-
-let compiled_checkpoints = Quirk.Set.of_list compiled_checkpoint_list
-
-(* Projection of a quirk set onto the inline-compiled checkpoints, packed
-   into an int. Two specialisation cells with equal keys compile to
-   observably identical closures (the inline sites are the only thing a
-   cell specialises), so callers cache one compilation per key — one or
-   two per case in practice, not one per equivalence cell. *)
-let cell_key (c : Quirk.Set.t) : int =
-  let rec go i acc = function
-    | [] -> acc
-    | q :: rest ->
-        go (i + 1) (if Quirk.Set.mem q c then acc lor (1 lsl i) else acc) rest
-  in
-  go 0 0 compiled_checkpoint_list
-
-let compile ?reach ?cell (prog : Ast.program) : t =
-  let folded =
-    match reach with
-    | None -> Quirk.Set.empty
-    | Some s -> Quirk.Set.diff compiled_checkpoints s
-  in
+let compile (prog : Ast.program) : t =
   let shadows = Interp.binds_specials prog in
   if R.program_deopts prog then
     {
       cp_run = (fun ctx -> Interp.exec_program ctx prog);
       cp_slotted = false;
       cp_deopt_fns = 0;
-      cp_folded = 0;
       cp_shadows_specials = shadows;
     }
   else begin
     let strict = prog.Ast.prog_strict in
-    if cell <> None then Atomic.incr specialized;
-    let gs = { gs_deopts = 0; gs_folded = folded; gs_cell = cell } in
+    let gs = { gs_deopts = 0 } in
     let plevel = R.new_level () in
     let vars, funcs = R.hoisted prog.Ast.prog_body in
     let var_slots =
@@ -1423,7 +1303,6 @@ let compile ?reach ?cell (prog : Ast.program) : t =
       cp_run = run;
       cp_slotted = true;
       cp_deopt_fns = gs.gs_deopts;
-      cp_folded = Quirk.Set.cardinal folded;
       cp_shadows_specials = shadows;
     }
   end

@@ -47,29 +47,14 @@ let run_count () = Atomic.get runs
    identical with and without process isolation. *)
 let add_runs n = if n > 0 then ignore (Atomic.fetch_and_add runs n)
 
-(* Slot-compiled execution ([Compile]) is on unless COMFORT_NO_RESOLVE is
-   set to a non-empty value — the same contract as COMFORT_NO_SHARE for the
-   execution-sharing layer. *)
-let resolve_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_RESOLVE" with
-  | None | Some "" -> true
-  | Some _ -> false
-
-(* Static quirk-reachability ([Analysis.Reach]) is on unless
-   COMFORT_NO_REACH is set to a non-empty value — same contract as
-   COMFORT_NO_SHARE / COMFORT_NO_RESOLVE. *)
-let reach_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_REACH" with
-  | None | Some "" -> true
-  | Some _ -> false
-
-(* Quirk-specialised execution (copy-on-write realms, per-cell compiled
-   closures, inline caches — see [Compile] and [Realm]) is on unless
-   COMFORT_NO_SPECIALIZE is set to a non-empty value. *)
-let specialize_by_default () =
-  match Sys.getenv_opt "COMFORT_NO_SPECIALIZE" with
-  | None | Some "" -> true
-  | Some _ -> false
+(* The two ways to execute a program. [Production] is what campaigns run:
+   slot-compiled closures with inline caches over the domain's
+   copy-on-write realm, with per-domain recycled scratch. [Reference] is
+   the oracle it is checked against: the tree-walker over a realm built by
+   [Builtins.install], with fresh scratch. Results are bit-for-bit
+   identical; [--audit] and the benchmark's oracle check hold them to
+   it. *)
+type config = Production | Reference
 
 (* Whole-pipeline profiler. Off by default: a disabled probe pays one ref
    read. Two layers of attribution:
@@ -187,16 +172,14 @@ module Stage = struct
     end
 end
 
-(* --- per-domain execution scratch (COMFORT_GC) ---
+(* --- per-domain execution scratch ---
 
-   A campaign performs ~12.5 interpreter executions per case, each
-   allocating a fresh output buffer, global-scope table, realm copy and
-   frame graph. Recycling the two allocations that provably die with
-   their execution cuts steady-state allocation several-fold (the bench's
-   per-stage byte columns show exec dropping ~5x); COMFORT_GC=off (or =0)
-   is the escape hatch restoring the exact allocation behaviour of
-   earlier builds. Results are bit-identical either way — the CI runs a
-   full COMFORT_GC=off suite leg to prove it.
+   A campaign performs interpreter executions by the thousand, each
+   allocating a fresh output buffer, global-scope table and frame graph.
+   [Production] recycles the two allocations that provably die with their
+   execution; [Reference] takes fresh ones, so [--audit] and the
+   benchmark's oracle check compare recycled scratch against fresh
+   scratch.
 
    Minor-heap widening was tried here and measured as a regression:
    growing the per-domain minor heap to 4M words (32MB) cost ~10% on the
@@ -205,22 +188,18 @@ end
    a wider nursery trades cheap minor collections for cache misses. The
    default heap geometry is deliberately left alone (EXPERIMENTS.md
    records the numbers). *)
-let gc_by_default () =
-  match Sys.getenv_opt "COMFORT_GC" with
-  | Some "off" | Some "0" -> false
-  | None | Some _ -> true
 
 (* Execution scratch, recycled per domain: the [ctx.out] buffer and the
    global scope's bindings table are the two per-execution allocations
    that provably die with the execution — [r_output] is an immutable
    string copy ([Buffer.contents]) and nothing outlives [run_exec] that
-   can still reach the scope (the COW rollback / realm-copy discard takes
-   any closure created during the run with it). Each domain keeps one
-   slot of each; [take] empties the slot (so any unexpected reentrancy
-   simply allocates fresh) and resets the scratch before reuse, [release]
-   refits the slot at the exec's report boundary. Compiled frames are
-   deliberately NOT recycled: closures capture them and may legally
-   outlive statements (DESIGN.md §13). *)
+   can still reach the scope (the COW rollback takes any closure created
+   during the run with it). Each domain keeps one slot of each; [take]
+   empties the slot (so any unexpected reentrancy simply allocates fresh)
+   and resets the scratch before reuse, [release] refits the slot at the
+   exec's report boundary. Compiled frames are deliberately NOT recycled:
+   closures capture them and may legally outlive statements (DESIGN.md
+   §13). *)
 module Scratch = struct
   type slot = {
     mutable sc_buf : Buffer.t option;
@@ -230,30 +209,28 @@ module Scratch = struct
   let key : slot Domain.DLS.key =
     Domain.DLS.new_key (fun () -> { sc_buf = None; sc_bindings = None })
 
-  let buffer () : Buffer.t =
+  let buffer ~recycle : Buffer.t =
     let s = Domain.DLS.get key in
     match s.sc_buf with
-    | Some b when gc_by_default () ->
+    | Some b when recycle ->
         s.sc_buf <- None;
         Buffer.reset b;
         b
     | _ -> Buffer.create 256
 
-  let bindings () : (string, Value.value ref) Hashtbl.t =
+  let bindings ~recycle : (string, Value.value ref) Hashtbl.t =
     let s = Domain.DLS.get key in
     match s.sc_bindings with
-    | Some h when gc_by_default () ->
+    | Some h when recycle ->
         s.sc_bindings <- None;
         Hashtbl.reset h;
         h
     | _ -> Hashtbl.create 16
 
   let release (ctx : Value.ctx) : unit =
-    if gc_by_default () then begin
-      let s = Domain.DLS.get key in
-      s.sc_buf <- Some ctx.Value.out;
-      s.sc_bindings <- Some ctx.Value.global_scope.Value.bindings
-    end
+    let s = Domain.DLS.get key in
+    s.sc_buf <- Some ctx.Value.out;
+    s.sc_bindings <- Some ctx.Value.global_scope.Value.bindings
 end
 
 (* Parser-level quirks live in the front end: derive the engine's parse
@@ -275,28 +252,22 @@ let parse_opts_of ~(base : Jsparse.Parser.options) (quirks : Quirk.Set.t) :
   }
 
 let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_options)
-    ?(fuel = default_fuel) ?(coverage = false) ?(snapshot = false)
-    ?(cow = false) () : Value.ctx =
-  (* [snapshot] builds the realm by copying the [Realm] template instead
-     of re-running [Builtins.install]; the resulting context is
-     indistinguishable (same globals, same empty fired/touched sets, no
-     fuel spent) but several times cheaper to construct. Selected by the
-     [resolve] execution mode. [cow] goes further and shares the domain's
-     template itself behind the [Value.barrier] write barrier — the caller
-     MUST call [Realm.release] when the execution is over, on every exit
-     path, to roll the copy-on-write journal back. *)
-  let snap =
-    if cow then Some (Realm.acquire ())
-    else if snapshot then Some (Realm.fresh ())
-    else None
-  in
-  let global =
-    match snap with
-    | Some (g, _) -> g
-    | None -> Value.make_obj ~oclass:"Object" ()
+    ?(fuel = default_fuel) ?(coverage = false) ~(config : config) () : Value.ctx =
+  (* [Production] shares the domain's realm template itself behind the
+     [Value.barrier] write barrier — the caller MUST call [Realm.release]
+     when the execution is over, on every exit path, to roll the
+     copy-on-write journal back. [Reference] installs a fresh realm. *)
+  let production = config = Production in
+  let global, protos =
+    if production then Realm.acquire ()
+    else (Value.make_obj ~oclass:"Object" (), [])
   in
   let global_scope =
-    { Value.bindings = Scratch.bindings (); parent = None; frozen_names = [] }
+    {
+      Value.bindings = Scratch.bindings ~recycle:production;
+      parent = None;
+      frozen_names = [];
+    }
   in
   let q_lo, q_hi = Quirk.Bits.of_set quirks in
   let ctx : Value.ctx =
@@ -307,7 +278,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       parse_opts;
       fuel;
       fuel_cap = fuel;
-      out = Scratch.buffer ();
+      out = Scratch.buffer ~recycle:production;
       q_lo;
       q_hi;
       f_lo = 0;
@@ -319,7 +290,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       coverage = (if coverage then Some (Coverage.create ()) else None);
       loop_trip = 0;
       strconcat_drop_armed = true;
-      protos = [];
+      protos;
       depth = 0;
       cur_this = Value.Obj global;
       slotted = false;
@@ -330,9 +301,6 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       mode_touched = false;
     }
   in
-  (match snap with
-  | Some (_, protos) -> ctx.Value.protos <- protos
-  | None -> ());
   ctx.call_hook <- (fun ctx fn this args -> Interp.call_function ctx fn this args);
   ctx.eval_hook <-
     (fun ctx scope strict src ->
@@ -352,7 +320,7 @@ let make_ctx ?(quirks = Quirk.Set.empty) ?(parse_opts = Jsparse.Parser.default_o
       | prog -> Interp.exec_in_scope ctx scope ~strict prog
       | exception Jsparse.Parser.Syntax_error (msg, _) ->
           Ops.syntax_error ctx msg);
-  (match snap with None -> Builtins.install ctx | Some _ -> ());
+  if not production then Builtins.install ctx;
   ctx
 
 (* [this] binding for top-level code *)
@@ -375,25 +343,11 @@ type frontend = {
   fe_fired : Quirk.Set.t;
       (** parse-stage quirks sunk by the front end, unfiltered; callers
           intersect with their own quirk set *)
-  fe_compiled : (bool * bool * int, Compile.t) Hashtbl.t;
-      (** slot-compiled program, cached per front end and keyed by
-          (strict mode, reach setting, specialisation cell key) — a strict
-          override rewrites the program, reach folds checkpoints, and a
-          specialisation cell bakes in the answers of the inline
-          checkpoints ([Compile.cell_key]; -1 = the generic, unspecialised
-          form). Testbeds sharing a front end share the compilations — the
-          compile-stage analogue of sharing the parse; since only the
-          inline-checkpoint projection keys the cache, the whole testbed
-          pool compiles each program once or twice in practice. *)
-  fe_reach : Quirk.Set.t Lazy.t;
-      (** static over-approximation of the checkpoints any execution of
-          this front end's program can consult: the [Analysis.Reach] set
-          of the parsed program joined with the parse-stage quirks sunk by
-          the front end (a parse failure consults nothing at run time).
-          Lazy: only forced when the reach layer is on. *)
-  fe_reach_bits : Quirk.Bits.t Lazy.t;
-      (** [fe_reach] packed into machine words, for the execution-sharing
-          cache's per-testbed cell computation *)
+  fe_compiled : (bool, Compile.t) Hashtbl.t;
+      (** slot-compiled program, cached per front end and keyed by strict
+          mode (a strict override rewrites the program). Testbeds sharing
+          a front end share the compilations — the compile-stage analogue
+          of sharing the parse. *)
   fe_strict_sensitive : bool;
       (** the parse reached a construct whose outcome depends on the
           ambient strict flag; [false] on a sloppy parse proves a
@@ -403,8 +357,7 @@ type frontend = {
 
 let parse_frontend ?(quirks = Quirk.Set.empty)
     ?(parse_opts = Jsparse.Parser.default_options) ?(strict = false)
-    ?reach_strict (src : string) : frontend =
-  let reach_strict = Option.value reach_strict ~default:strict in
+    (src : string) : frontend =
   let parse_opts = parse_opts_of ~base:parse_opts quirks in
   let fired = ref Quirk.Set.empty in
   let sensitive = ref false in
@@ -419,21 +372,11 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
       Jsparse.Parser.strict_sensitive_sink = (fun () -> sensitive := true);
     }
   in
-  let frontend fe_program fe_fired =
-    let fe_reach =
-      lazy
-        (match fe_program with
-        | Error _ -> fe_fired
-        | Ok prog ->
-            Quirk.Set.union fe_fired
-              (Analysis.Reach.checkpoints ~strict:reach_strict prog))
-    in
+  let frontend fe_program =
     {
       fe_program;
-      fe_fired;
-      fe_compiled = Hashtbl.create 4;
-      fe_reach;
-      fe_reach_bits = lazy (Quirk.Bits.of_set (Lazy.force fe_reach));
+      fe_fired = !fired;
+      fe_compiled = Hashtbl.create 2;
       fe_strict_sensitive = !sensitive;
     }
   in
@@ -441,12 +384,9 @@ let parse_frontend ?(quirks = Quirk.Set.empty)
     Stage.time_sub Stage.parse (fun () ->
         Jsparse.Parser.parse_program ~opts ~force_strict:strict src)
   with
-  | prog -> frontend (Ok prog) !fired
+  | prog -> frontend (Ok prog)
   | exception Jsparse.Parser.Syntax_error (msg, line) ->
-      frontend (Error (msg, line)) !fired
-
-(* The front end's static touch-set (forces the lazy analysis). *)
-let reach_set (fe : frontend) : Quirk.Set.t = Lazy.force fe.fe_reach
+      frontend (Error (msg, line))
 
 (* --- execution, separable from the engine that ran it ---
 
@@ -483,15 +423,8 @@ type exec = {
 
 let run_exec ?(quirks = Quirk.Set.empty)
     ?(parse_opts = Jsparse.Parser.default_options) ?(strict = false)
-    ?(fuel = default_fuel) ?(coverage = false) ?resolve ?reach ?specialize
+    ?(fuel = default_fuel) ?(coverage = false) ?(config = Production)
     ?frontend (src : string) : exec =
-  let resolve =
-    match resolve with Some r -> r | None -> resolve_by_default ()
-  in
-  let reach = match reach with Some r -> r | None -> reach_by_default () in
-  let specialize =
-    match specialize with Some s -> s | None -> specialize_by_default ()
-  in
   let fe =
     match frontend with
     | Some fe -> fe
@@ -532,52 +465,31 @@ let run_exec ?(quirks = Quirk.Set.empty)
           { prog with Jsast.Ast.prog_strict = true }
         else prog
       in
+      let production = config = Production in
       let compiled =
-        if not resolve then None
-        else begin
-          (* the specialisation cell: the quirks this engine carries among
-             those any execution can consult. Only its projection onto the
-             inline-compiled checkpoints affects code generation, so the
-             cache key collapses every cell to [Compile.cell_key] (-1 =
-             generic, unspecialised) *)
-          let cell =
-            if not specialize then None
-            else if reach then
-              Some (Quirk.Set.inter quirks (Lazy.force fe.fe_reach))
-            else Some quirks
-          in
-          let spec_key =
-            match cell with None -> -1 | Some c -> Compile.cell_key c
-          in
-          let key = (strict, reach, spec_key) in
-          match Hashtbl.find_opt fe.fe_compiled key with
+        if not production then None
+        else
+          match Hashtbl.find_opt fe.fe_compiled strict with
           | Some cp -> Some cp
           | None ->
-              let reach_arg =
-                if reach then Some (Lazy.force fe.fe_reach) else None
-              in
               let cp =
-                Stage.time_sub Stage.compile (fun () ->
-                    Compile.compile ?reach:reach_arg ?cell prog)
+                Stage.time_sub Stage.compile (fun () -> Compile.compile prog)
               in
-              Hashtbl.replace fe.fe_compiled key cp;
+              Hashtbl.replace fe.fe_compiled strict cp;
               Some cp
-        end
       in
-      (* copy-on-write realms ride the specialise flag: the context borrows
-         the domain's shared template and [Realm.release] rolls the write
-         journal back after the run — on every exit path, including the
-         deopt-to-tree replay, which must see a pristine realm *)
-      let cow = resolve && specialize in
+      (* a production context borrows the domain's shared realm template,
+         and [Realm.release] rolls the write journal back after the run —
+         on every exit path, including the deopt-to-tree replay, which
+         must see a pristine realm *)
       let run_with runner =
         let ctx =
           Stage.time_sub Stage.realm (fun () ->
-              make_ctx ~quirks ~parse_opts ~fuel ~coverage ~snapshot:resolve
-                ~cow ())
+              make_ctx ~quirks ~parse_opts ~fuel ~coverage ~config ())
         in
         bind_globals ctx;
         Fun.protect
-          ~finally:(fun () -> if cow then Realm.release ())
+          ~finally:(fun () -> if production then Realm.release ())
           (fun () ->
             let status =
               try
@@ -655,15 +567,15 @@ let run_exec ?(quirks = Quirk.Set.empty)
           ex_mode_touched = ctx.Value.mode_touched || ctx.Value.reparsed;
         }
       in
-      (* the result captured everything it needs as immutable copies; the
-         ctx's buffer and scope table go back to the domain's scratch *)
-      Scratch.release ctx;
+      (* the result captured everything it needs as immutable copies; a
+         production ctx's buffer and scope table go back to the domain's
+         scratch *)
+      if production then Scratch.release ctx;
       ex
 
-let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?resolve ?reach
-    ?specialize ?frontend (src : string) : result =
-  (run_exec ?quirks ?parse_opts ?strict ?fuel ?coverage ?resolve ?reach
-     ?specialize ?frontend src)
+let run ?quirks ?parse_opts ?strict ?fuel ?coverage ?config ?frontend
+    (src : string) : result =
+  (run_exec ?quirks ?parse_opts ?strict ?fuel ?coverage ?config ?frontend src)
     .ex_result
 
 (* Does an engine carrying [quirks] belong to [ex]'s behavioural

@@ -42,28 +42,16 @@ val run_count : unit -> int
     and without process isolation. No-op for [n <= 0]. *)
 val add_runs : int -> unit
 
-(** Is slot-compiled execution ({!Compile}) on by default? True unless the
-    COMFORT_NO_RESOLVE environment variable is set to a non-empty value —
-    the compile-stage analogue of COMFORT_NO_SHARE. *)
-val resolve_by_default : unit -> bool
-
-(** Is the static reachability analysis ({!Analysis.Reach}) consulted by
-    default? True unless COMFORT_NO_REACH is set to a non-empty value. *)
-val reach_by_default : unit -> bool
-
-(** Is quirk-specialised execution (copy-on-write realms, per-cell
-    compiled closures, inline caches) on by default? True unless
-    COMFORT_NO_SPECIALIZE is set to a non-empty value. *)
-val specialize_by_default : unit -> bool
-
-(** Is per-domain execution-scratch recycling on? True unless COMFORT_GC
-    is set to "off" or "0" — the escape hatch that restores the exact
-    allocation behaviour of non-recycling builds (results are
-    bit-identical either way). Minor-heap widening was also tried under
-    this flag and measured as a ~10% regression on the campaign bench;
-    the default heap geometry is deliberately untouched (see
-    EXPERIMENTS.md). *)
-val gc_by_default : unit -> bool
+(** How a program executes. Results are bit-for-bit identical either way.
+    - [Production]: slot-compiled closures ({!Compile}) with inline caches
+      at constant-key property sites, over the domain's copy-on-write realm
+      ({!Realm}), with per-domain recycled output buffer and global-scope
+      table. What campaigns run.
+    - [Reference]: the tree-walker ({!Interp}) over a realm built by
+      [Builtins.install], with fresh scratch. The oracle [Production] is
+      checked against ([comfort fuzz --audit], the benchmark's oracle
+      pass). *)
+type config = Production | Reference
 
 (** Whole-pipeline campaign profiler. Disabled by default (a disabled
     probe pays one ref read); when [enabled] is set, every probe adds its
@@ -133,20 +121,9 @@ type frontend = {
   fe_fired : Quirk.Set.t;
       (** parse-stage quirks sunk by the front end, {e unfiltered};
           {!run} intersects them with the executing engine's quirk set *)
-  fe_compiled : (bool * bool * int, Compile.t) Hashtbl.t;
-      (** slot-compiled programs cached per front end, keyed by
-          (strict mode, reach enabled, specialisation cell key —
-          [Compile.cell_key], -1 for the generic form); testbeds sharing
-          a front end share the compilations *)
-  fe_reach : Quirk.Set.t Lazy.t;
-      (** static over-approximation of every quirk checkpoint any
-          execution of this front end can consult
-          ({!Analysis.Reach.checkpoints} joined with the parse-stage
-          [fe_fired]); forced on first use, shared by all testbeds of the
-          parse group *)
-  fe_reach_bits : Quirk.Bits.t Lazy.t;
-      (** [fe_reach] packed into machine words for the execution-sharing
-          cache's cell computation *)
+  fe_compiled : (bool, Compile.t) Hashtbl.t;
+      (** slot-compiled programs cached per front end, keyed by strict
+          mode; testbeds sharing a front end share the compilations *)
   fe_strict_sensitive : bool;
       (** the parse reached a construct whose outcome depends on the
           ambient strict flag ({!Jsparse.Parser.options}'
@@ -159,43 +136,20 @@ type frontend = {
 
 (** Parse once with the effective options derived from [parse_opts] and
     [quirks]. The result may be passed to {!run} for any engine whose
-    effective options and mode are identical. [reach_strict] (default
-    [strict]) sets the mode assumed by the reach analysis — pass [true]
-    when the front end may be shared with strict-mode testbeds, since
-    the strict reach set is a superset of the sloppy one. *)
+    effective options and mode are identical. *)
 val parse_frontend :
   ?quirks:Quirk.Set.t ->
   ?parse_opts:Jsparse.Parser.options ->
   ?strict:bool ->
-  ?reach_strict:bool ->
   string ->
   frontend
-
-(** The front end's static checkpoint reach set (forces [fe_reach]).
-    Sound: for every execution of this front end on any testbed of its
-    parse group, [r_touched] is a subset of [reach_set fe]. *)
-val reach_set : frontend -> Quirk.Set.t
 
 (** Execute a program.
     @param quirks     the engine's bug set (empty = conforming reference)
     @param parse_opts front-end profile (ES edition gates)
     @param strict     run as a strict-mode testbed
     @param coverage   record statement/branch/function coverage
-    @param resolve    execute slot-compiled ({!Compile}); defaults to
-                      {!resolve_by_default}. Results are bit-for-bit
-                      identical either way — this only selects the engine
-                      core
-    @param reach      let the compiler constant-fold checkpoint
-                      consultations the static analysis proves
-                      unreachable (with a deopt-to-tree escape hatch);
-                      defaults to {!reach_by_default}. Results are
-                      bit-for-bit identical either way
-    @param specialize execute on the quirk-specialised fast path:
-                      copy-on-write realms, per-cell compiled closures
-                      with baked-in checkpoint answers, and inline caches
-                      at compiled property sites; defaults to
-                      {!specialize_by_default}. Results are bit-for-bit
-                      identical either way
+    @param config     {!Production} (default) or {!Reference}
     @param frontend   a pre-parsed front end to reuse (skips this run's
                       own parse); must have been produced with the same
                       effective options and strictness *)
@@ -205,9 +159,7 @@ val run :
   ?strict:bool ->
   ?fuel:int ->
   ?coverage:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?config:config ->
   ?frontend:frontend ->
   string ->
   result
@@ -250,9 +202,7 @@ val run_exec :
   ?strict:bool ->
   ?fuel:int ->
   ?coverage:bool ->
-  ?resolve:bool ->
-  ?reach:bool ->
-  ?specialize:bool ->
+  ?config:config ->
   ?frontend:frontend ->
   string ->
   exec

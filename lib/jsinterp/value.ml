@@ -429,27 +429,6 @@ let fire ctx q =
     else false
   end
 
-(* Record a consultation whose answer the caller has baked in — the
-   specialised compiler's checkpoint sites ([Compile.checkpoint]). *)
-let touch ctx q =
-  let i = Quirk.index q in
-  if i < 62 then ctx.t_lo <- ctx.t_lo lor (1 lsl i)
-  else ctx.t_hi <- ctx.t_hi lor (1 lsl (i - 62))
-
-(* [touch] plus the fired attribution, for baked-in cell-member sites. *)
-let touch_fire ctx q =
-  let i = Quirk.index q in
-  if i < 62 then begin
-    let m = 1 lsl i in
-    ctx.t_lo <- ctx.t_lo lor m;
-    ctx.f_lo <- ctx.f_lo lor m
-  end
-  else begin
-    let m = 1 lsl (i - 62) in
-    ctx.t_hi <- ctx.t_hi lor m;
-    ctx.f_hi <- ctx.f_hi lor m
-  end
-
 (* Record that execution reached a point where strict mode changes
    behaviour: a silent failure in normal mode is a TypeError in strict, an
    undeclared assignment creates a global or throws, a missing receiver

@@ -206,13 +206,14 @@ let json_cycle_tests () =
   List.iter
     (fun (name, src, expected) ->
       List.iter
-        (fun (path, fast) ->
-          let r =
-            Jsinterp.Run.run ~resolve:fast ~reach:fast ~specialize:fast src
-          in
+        (fun (path, config) ->
+          let r = Jsinterp.Run.run ~config src in
           Alcotest.(check string) (name ^ ", " ^ path) (expected ^ "\n")
             r.Jsinterp.Run.r_output)
-        [ ("production", true); ("reference", false) ])
+        [
+          ("production", Jsinterp.Run.Production);
+          ("reference", Jsinterp.Run.Reference);
+        ])
     programs
 
 let typed_tests =

@@ -1,21 +1,16 @@
 (* Static checkpoint-reachability analysis (DESIGN.md §11).
 
-   The analysis is useful only while it stays sound (static ⊇ every
-   dynamic touched set) and pays off only while it stays precise enough
-   to fold and pre-partition anything. Coverage here:
+   The analysis is a diagnostic ([comfort analyze --quirks]) and the home
+   of [observes_this]; it is useful only while it stays sound (static ⊇
+   every dynamic touched set) and precise enough to narrow anything.
+   Coverage here:
 
    - soundness over a handwritten corpus plus a fuzzer batch, asserted
-     per front end and via [Difftest.audit_reach_case] across all 102
-     testbeds;
+     per front end and across all 102 testbeds, each execution against
+     the reach set of the front end it ran;
    - a precision floor: ordinary programs get a strict subset of the
      domain's top, while [eval] collapses to top;
-   - the compiler's constant-folding of statically-unreachable
-     consultation sites, including the [Deopt_to_tree] escape hatch that
-     makes an unsound fold degrade to the tree-walker instead of to a
-     wrong answer;
-   - execution counts and reports byte-identical with the analysis on or
-     off, at the [Exec] sweep, [run_case] and full-campaign layers, with
-     the reach-seeded fast path actually engaging. *)
+   - the strict-mode widening and the strict-[this] rule. *)
 
 open Helpers
 open Jsinterp
@@ -52,6 +47,14 @@ print(s.length);|};
     "function f() { return (() => this)(); } print(f() === undefined);";
   ]
 
+(* A front end's static reach set: the analysis of its program in the
+   given mode, joined with the parse-stage quirks it sank (a parse
+   failure consults nothing at run time) *)
+let reach_set ~strict (fe : Run.frontend) =
+  match fe.Run.fe_program with
+  | Error _ -> fe.Run.fe_fired
+  | Ok prog -> Quirk.Set.union fe.Run.fe_fired (Reach.checkpoints ~strict prog)
+
 let sound_on_every_frontend () =
   (* static ⊇ dynamic touched, per parse group, under quirk sets drawn
      from real testbeds *)
@@ -71,25 +74,46 @@ let sound_on_every_frontend () =
             (Printf.sprintf "%s sound on %s" (Engine.testbed_id tb) src)
             true
             (Quirk.Set.subset ex.Run.ex_result.Run.r_touched
-               (Run.reach_set fe)))
+               (reach_set ~strict fe)))
         Engine.all_testbeds)
     corpus
 
+(* The reach audit: execute the case directly (no sharing, so every
+   testbed's own touched set is observed, not inherited) on every
+   applicable testbed, on the front end the campaign would give it, and
+   assert the static reach set of that front end in the testbed's mode
+   covers the dynamic touched set. *)
+let audit_reach_case testbeds (tc : Comfort.Testcase.t) =
+  let src = tc.Comfort.Testcase.tc_source in
+  let fc = Engine.Frontend.cache src in
+  List.iter
+    (fun (tb : Engine.testbed) ->
+      if Engine.Frontend.supports fc tb.Engine.tb_config then begin
+        let fe = Engine.Frontend.frontend fc tb in
+        let r =
+          Engine.run ~fuel:Comfort.Difftest.campaign_fuel ~frontend:fe tb src
+        in
+        let static = reach_set ~strict:(tb.Engine.tb_mode = Engine.Strict) fe in
+        let missing = Quirk.Set.diff r.Run.r_touched static in
+        if not (Quirk.Set.is_empty missing) then
+          Alcotest.failf "static reach misses %s on %s:\n%s"
+            (String.concat ", "
+               (List.map Quirk.to_string (Quirk.Set.elements missing)))
+            (Engine.testbed_id tb) src
+      end)
+    testbeds
+
 let audit_accepts_corpus () =
-  (* the production audit: every testbed's direct execution checked
-     against the static set, then the normal shared sweep *)
   List.iter
     (fun src ->
-      ignore
-        (Comfort.Difftest.audit_reach_case Engine.all_testbeds
-           (Comfort.Testcase.make src)))
+      audit_reach_case Engine.all_testbeds (Comfort.Testcase.make src))
     corpus
 
 let audit_accepts_fuzzer_batch () =
   let batch = (Comfort.Campaign.comfort_fuzzer ~seed:7 ()).Comfort.Campaign.fz_batch 15 in
   Alcotest.(check bool) "batch non-empty" true (List.length batch >= 15);
   List.iter
-    (fun tc -> ignore (Comfort.Difftest.audit_reach_case Engine.all_testbeds tc))
+    (fun tc -> audit_reach_case Engine.all_testbeds tc)
     batch
 
 let precision_floor () =
@@ -146,182 +170,6 @@ let strict_this_needs_an_observer () =
     (Quirk.Set.mem Quirk.Q_strict_this_is_global
        (Reach.checkpoints_src "function f(a){return this} f(1)"))
 
-let compiler_folds_unreachable_sites () =
-  let prog s =
-    match (Run.parse_frontend s).Run.fe_program with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail ("corpus program failed to parse: " ^ s)
-  in
-  let p = prog "print(1);" in
-  let none = Compile.compile p in
-  Alcotest.(check bool) "slotted" true none.Compile.cp_slotted;
-  Alcotest.(check int) "no reach set: nothing folded" 0 none.Compile.cp_folded;
-  let all = Compile.compile ~reach:Reach.top p in
-  Alcotest.(check int) "top reach set: nothing folded" 0 all.Compile.cp_folded;
-  let empty = Compile.compile ~reach:Quirk.Set.empty p in
-  Alcotest.(check int) "empty reach set: every inline site folded"
-    (Quirk.Set.cardinal Compile.compiled_checkpoints)
-    empty.Compile.cp_folded
-
-let deopt_escape_hatch () =
-  (* force an unsound fold by hand: compile with an empty reach set a
-     program whose compiled path consults the neg-zero site, seed the
-     front-end cache with it, and check the consultation deopts to the
-     tree-walker and still produces the right answer *)
-  let src = "var z = 0; print(1 / -z);" in
-  let fe = Run.parse_frontend src in
-  let p =
-    match fe.Run.fe_program with Ok p -> p | Error _ -> Alcotest.fail "parse"
-  in
-  let poisoned = Compile.compile ~reach:Quirk.Set.empty p in
-  Alcotest.(check bool) "poisoned compile is slotted" true
-    poisoned.Compile.cp_slotted;
-  (* key (strict=false, reach=true, generic): specialisation is forced off
-     below so the run consults exactly this entry *)
-  Hashtbl.replace fe.Run.fe_compiled (false, true, -1) poisoned;
-  let r =
-    Run.run ~resolve:true ~reach:true ~specialize:false ~frontend:fe src
-  in
-  Alcotest.(check string) "deopt falls back to the tree answer"
-    "-Infinity\n" r.Run.r_output;
-  (* and with the quirk installed, the deopted run still honours it *)
-  let fe2 = Run.parse_frontend ~quirks:(quirks_of [ Quirk.Q_codegen_neg_zero_positive ]) src in
-  let p2 =
-    match fe2.Run.fe_program with Ok p -> p | Error _ -> Alcotest.fail "parse"
-  in
-  Hashtbl.replace fe2.Run.fe_compiled (false, true, -1)
-    (Compile.compile ~reach:Quirk.Set.empty p2);
-  let r2 =
-    Run.run
-      ~quirks:(quirks_of [ Quirk.Q_codegen_neg_zero_positive ])
-      ~resolve:true ~reach:true ~specialize:false ~frontend:fe2 src
-  in
-  Alcotest.(check string) "quirk honoured through the deopt" "Infinity\n"
-    r2.Run.r_output
-
-let folding_preserves_results () =
-  (* reach on vs off, field-wise, across testbed quirk sets: the folds a
-     *sound* reach set licenses must be invisible *)
-  List.iter
-    (fun src ->
-      List.iter
-        (fun (tb : Engine.testbed) ->
-          let strict = tb.Engine.tb_mode = Engine.Strict in
-          let quirks = tb.Engine.tb_config.Engines.Registry.cfg_quirks in
-          let on = Run.run ~quirks ~strict ~resolve:true ~reach:true src in
-          let off = Run.run ~quirks ~strict ~resolve:true ~reach:false src in
-          let id = Engine.testbed_id tb ^ " on " ^ src in
-          Alcotest.(check string) (id ^ ": output") off.Run.r_output
-            on.Run.r_output;
-          Alcotest.(check string) (id ^ ": status")
-            (Run.status_to_string off.Run.r_status)
-            (Run.status_to_string on.Run.r_status);
-          Alcotest.(check int) (id ^ ": fuel") off.Run.r_fuel_used
-            on.Run.r_fuel_used;
-          Alcotest.(check bool) (id ^ ": fired") true
-            (Quirk.Set.equal off.Run.r_fired on.Run.r_fired);
-          Alcotest.(check bool) (id ^ ": touched") true
-            (Quirk.Set.equal off.Run.r_touched on.Run.r_touched))
-        (Engine.latest_testbeds ()))
-    corpus
-
-let sweep_executes_identically () =
-  (* the PR 3 fixpoint is already execution-optimal; the reach partition
-     may only change the lookup path, never the execution count *)
-  List.iter
-    (fun src ->
-      let sweep reach =
-        let before = Run.run_count () in
-        let ec = Engine.Exec.cache src in
-        List.iter
-          (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ~reach ec tb))
-          Engine.all_testbeds;
-        let executed, shared = Engine.Exec.stats ec in
-        (executed, shared, Run.run_count () - before, Engine.Exec.seeded ec)
-      in
-      let ex_off, sh_off, runs_off, seeded_off = sweep false in
-      let ex_on, sh_on, runs_on, seeded_on = sweep true in
-      Alcotest.(check int) (src ^ ": same executions") ex_off ex_on;
-      Alcotest.(check int) (src ^ ": same shares") sh_off sh_on;
-      Alcotest.(check int) (src ^ ": same interpreter runs") runs_off runs_on;
-      Alcotest.(check int) (src ^ ": analysis off never seeds") 0 seeded_off;
-      Alcotest.(check bool) (src ^ ": seeded is a subset of shares") true
-        (seeded_on <= sh_on))
-    corpus;
-  (* on quirk-rich traffic the fast path must actually engage *)
-  let ec =
-    Engine.Exec.cache
-      {|print([10,9,1].sort()); print("abc".charAt(-1));
-print((0.1).toFixed(1));|}
-  in
-  List.iter
-    (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ~reach:true ec tb))
-    Engine.all_testbeds;
-  Alcotest.(check bool) "reach-seeded shares happen" true
-    (Engine.Exec.seeded ec > 0)
-
-let run_case_reach_invariant () =
-  List.iter
-    (fun src ->
-      let tc = Comfort.Testcase.make src in
-      let on =
-        Comfort.Difftest.run_case ~share:true ~reach:true Engine.all_testbeds tc
-      in
-      let off =
-        Comfort.Difftest.run_case ~share:true ~reach:false Engine.all_testbeds
-          tc
-      in
-      Alcotest.(check bool) (src ^ ": reports equal") true
-        (Comfort.Difftest.report_equal on off))
-    corpus
-
-let disc_key (d : Comfort.Campaign.discovery) =
-  ( Engines.Registry.engine_name d.Comfort.Campaign.disc_engine,
-    Quirk.to_string d.Comfort.Campaign.disc_quirk,
-    d.Comfort.Campaign.disc_at,
-    d.Comfort.Campaign.disc_behavior,
-    d.Comfort.Campaign.disc_mode )
-
-let campaign_reach_invariant () =
-  (* reach on/off x share on/off x jobs: identical discoveries, timeline
-     and filter counts — the acceptance bar in miniature *)
-  let campaign ~reach ~share ~jobs =
-    Comfort.Campaign.run ~budget:80 ~reach ~share ~jobs
-      (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
-  in
-  let base = campaign ~reach:false ~share:true ~jobs:1 in
-  Alcotest.(check int) "analysis off never seeds" 0
-    base.Comfort.Campaign.cp_reach_seeded;
-  List.iter
-    (fun (reach, share, jobs) ->
-      let r = campaign ~reach ~share ~jobs in
-      let tag = Printf.sprintf "reach=%b share=%b jobs=%d" reach share jobs in
-      Alcotest.(check bool) (tag ^ ": same discoveries") true
-        (List.map disc_key r.Comfort.Campaign.cp_discoveries
-        = List.map disc_key base.Comfort.Campaign.cp_discoveries);
-      Alcotest.(check bool) (tag ^ ": same timeline") true
-        (r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline);
-      Alcotest.(check int) (tag ^ ": same filtered repeats")
-        base.Comfort.Campaign.cp_filtered_repeats
-        r.Comfort.Campaign.cp_filtered_repeats;
-      Alcotest.(check int) (tag ^ ": same unattributed")
-        base.Comfort.Campaign.cp_unattributed
-        r.Comfort.Campaign.cp_unattributed;
-      if reach && share then
-        Alcotest.(check bool) (tag ^ ": fast path engaged") true
-          (r.Comfort.Campaign.cp_reach_seeded > 0))
-    [ (true, true, 1); (true, true, 4); (true, false, 1); (false, false, 1) ]
-
-let campaign_audit_reach_passes () =
-  (* every 2nd case re-runs direct on every testbed and asserts the
-     soundness contract; any violation raises Reach_unsound *)
-  let r =
-    Comfort.Campaign.run ~budget:40 ~reach:true ~share:true ~audit_reach:2
-      ~jobs:2
-      (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
-  in
-  Alcotest.(check int) "campaign completed" 40 r.Comfort.Campaign.cp_cases_run
-
 let suite =
   [
     case "static reach is sound on every front end" sound_on_every_frontend;
@@ -332,13 +180,4 @@ let suite =
     case "strict analysis widens the sloppy one" strict_widens;
     case "strict this needs a callee that observes it"
       strict_this_needs_an_observer;
-    case "compiler folds statically-unreachable sites"
-      compiler_folds_unreachable_sites;
-    case "an unsound fold deopts to the tree" deopt_escape_hatch;
-    case "folding preserves results field-wise" folding_preserves_results;
-    case "sweeps execute identically with reach on/off"
-      sweep_executes_identically;
-    case "run_case reports are reach-invariant" run_case_reach_invariant;
-    case "campaigns are reach-invariant" campaign_reach_invariant;
-    case "campaign audit-reach mode passes" campaign_audit_reach_passes;
   ]

@@ -1,14 +1,16 @@
 (* Slot-resolved compile-to-closure interpreter core (DESIGN.md §9).
 
-   The tentpole claim mirrors execution sharing's: selecting the
-   compiled core must never change a single observable — status, output,
-   fuel, fired/touched quirk sets, coverage — on any testbed, for any
-   program, including every deopt path. Coverage here:
+   The claim mirrors execution sharing's: the production core (compiled
+   closures over the copy-on-write realm) must never differ from the
+   reference oracle (the tree-walker over a freshly installed realm) in a
+   single observable — status, output, fuel, fired/touched quirk sets,
+   coverage — on any testbed, for any program, including every deopt
+   path. Coverage here:
 
    - full-corpus differential parity on the conforming reference with
      coverage recording on;
-   - [Difftest.run_case] reports over all 102 testbeds, resolve on vs
-     off, byte-identical for the whole corpus;
+   - [Difftest.run_case] reports over all 102 testbeds, production vs
+     reference, byte-identical for the whole corpus;
    - per-testbed field-wise result parity (no sharing, no voting) for a
      corpus sample and for every deopt fixture;
    - the deopt ladder: static per-program deopt (eval mention, top-level
@@ -20,9 +22,9 @@
      inline caches, which the tree-walker does not have: boundary keys,
      quirked stores and IC invalidation on all testbeds, and each
      fixture's checkpoints switched on and off in both modes;
-   - realm snapshots: builtin mutations must not leak between compiled
-     executions (the [Realm] copy is what makes the compiled core fast,
-     so its isolation is part of this tentpole's soundness);
+   - the production realm: builtin mutations must not leak between
+     executions (the shared [Realm] template is what makes the production
+     core fast, so its isolation is part of its soundness);
    - campaign-level invariance, the bench acceptance check in miniature. *)
 
 open Helpers
@@ -54,8 +56,8 @@ let results_agree tag (tree : Run.result) (compiled : Run.result) =
 let corpus_parity_reference () =
   List.iteri
     (fun i src ->
-      let tree = Run.run ~coverage:true ~resolve:false src in
-      let compiled = Run.run ~coverage:true ~resolve:true src in
+      let tree = Run.run ~coverage:true ~config:Run.Reference src in
+      let compiled = Run.run ~coverage:true src in
       results_agree (Printf.sprintf "corpus[%d]" i) tree compiled)
     Lm.Js_corpus.programs
 
@@ -66,10 +68,10 @@ let corpus_run_case_resolve_invariant () =
     (fun i src ->
       let tc = Comfort.Testcase.make src in
       let compiled =
-        Comfort.Difftest.run_case ~resolve:true Engine.all_testbeds tc
+        Comfort.Difftest.run_case Engine.all_testbeds tc
       in
       let tree =
-        Comfort.Difftest.run_case ~resolve:false Engine.all_testbeds tc
+        Comfort.Difftest.run_case ~config:Run.Reference Engine.all_testbeds tc
       in
       Alcotest.(check bool)
         (Printf.sprintf "corpus[%d]: reports equal" i)
@@ -90,8 +92,8 @@ let corpus_sample_parity_all_testbeds () =
           let tag =
             Printf.sprintf "sample[%d] %s" i (Engine.testbed_id tb)
           in
-          let tree = Engine.run ~resolve:false tb src in
-          let compiled = Engine.run ~resolve:true tb src in
+          let tree = Engine.run ~config:Run.Reference tb src in
+          let compiled = Engine.run tb src in
           results_agree tag tree compiled)
         Engine.all_testbeds)
     sample
@@ -141,13 +143,13 @@ let deopt_fixtures_reach_parity () =
     (fun (tag, src) ->
       (* reference with coverage, plus a quirked testbed sweep: deopted
          and trap re-runs must stay bit-for-bit too *)
-      let tree = Run.run ~coverage:true ~resolve:false src in
-      let compiled = Run.run ~coverage:true ~resolve:true src in
+      let tree = Run.run ~coverage:true ~config:Run.Reference src in
+      let compiled = Run.run ~coverage:true src in
       results_agree tag tree compiled;
       List.iter
         (fun tb ->
-          let tree = Engine.run ~resolve:false tb src in
-          let compiled = Engine.run ~resolve:true tb src in
+          let tree = Engine.run ~config:Run.Reference tb src in
+          let compiled = Engine.run tb src in
           results_agree (tag ^ " @ " ^ Engine.testbed_id tb) tree compiled)
         Engine.all_testbeds)
     deopt_fixtures
@@ -163,16 +165,16 @@ print(f());|}
   let quirks = quirks_of [ Quirk.Q_named_funcexpr_binding_mutable ] in
   List.iter
     (fun qs ->
-      let tree = Run.run ~quirks:qs ~resolve:false src in
-      let compiled = Run.run ~quirks:qs ~resolve:true src in
+      let tree = Run.run ~quirks:qs ~config:Run.Reference src in
+      let compiled = Run.run ~quirks:qs src in
       results_agree
         (Printf.sprintf "frozen mutation, %d quirks" (Quirk.Set.cardinal qs))
         tree compiled)
     [ Quirk.Set.empty; quirks ];
   Alcotest.(check string) "quirk flips the binding" "number\n"
-    (Run.run ~quirks ~resolve:true src).Run.r_output;
+    (Run.run ~quirks src).Run.r_output;
   Alcotest.(check string) "conforming keeps it frozen" "function\n"
-    (Run.run ~resolve:true src).Run.r_output
+    (Run.run src).Run.r_output
 
 (* --- integer-keyed array access and array-receiver inline caches --- *)
 
@@ -313,22 +315,18 @@ while (true) { a[i] = i; i = a[i] + 1; a[a.length] = a[i - 1]; }|},
       [] );
   ]
 
-(* tree-walked vs compiled (generic and specialised), field for field *)
-let agree_three_ways tag run =
-  let tree = run ~resolve:false ~specialize:false in
-  results_agree (tag ^ " [generic]") tree (run ~resolve:true ~specialize:false);
-  results_agree (tag ^ " [specialised]") tree
-    (run ~resolve:true ~specialize:true)
+(* reference vs production, field for field *)
+let agree_both_ways tag run =
+  results_agree tag (run ~config:Run.Reference) (run ~config:Run.Production)
 
 let array_fixtures_parity () =
   List.iter
     (fun (tag, src, _) ->
       List.iter
         (fun tb ->
-          agree_three_ways
+          agree_both_ways
             (tag ^ " @ " ^ Engine.testbed_id tb)
-            (fun ~resolve ~specialize ->
-              Engine.run ~fuel:100_000 ~resolve ~specialize tb src))
+            (fun ~config -> Engine.run ~fuel:100_000 ~config tb src))
         Engine.all_testbeds)
     array_fixtures
 
@@ -346,15 +344,15 @@ let array_fixtures_quirk_forks () =
                 Printf.sprintf "%s, strict=%b, %d quirks" tag strict
                   (List.length quirks)
               in
-              agree_three_ways tag (fun ~resolve ~specialize ->
+              agree_both_ways tag (fun ~config ->
                   Run.run ~quirks:(quirks_of quirks) ~strict ~fuel:100_000
-                    ~resolve ~specialize src);
+                    ~config src);
               List.iter
                 (fun q ->
                   Alcotest.(check bool) (tag ^ ": fired") true
                     (Quirk.Set.mem q
                        (Run.run ~quirks:(quirks_of quirks) ~strict
-                          ~fuel:100_000 ~resolve:true ~specialize:true src)
+                          ~fuel:100_000 src)
                          .Run.r_fired))
                 quirks)
             [ []; qs ])
@@ -388,16 +386,15 @@ print(s);|} );
 let global_read_fixtures_parity () =
   List.iter
     (fun (tag, src) ->
-      let tree = Run.run ~coverage:true ~resolve:false src in
-      results_agree tag tree (Run.run ~coverage:true ~resolve:true src);
+      let tree = Run.run ~coverage:true ~config:Run.Reference src in
+      results_agree tag tree (Run.run ~coverage:true src);
       Alcotest.(check string) (tag ^ ": runs to completion") "normal"
         (Run.status_to_string tree.Run.r_status);
       List.iter
         (fun tb ->
-          agree_three_ways
+          agree_both_ways
             (tag ^ " @ " ^ Engine.testbed_id tb)
-            (fun ~resolve ~specialize ->
-              Engine.run ~fuel:100_000 ~resolve ~specialize tb src))
+            (fun ~config -> Engine.run ~fuel:100_000 ~config tb src))
         Engine.all_testbeds)
     global_read_fixtures;
   Alcotest.(check string) "getter output" "30\nnumber\n3\n"
@@ -420,8 +417,17 @@ let compile_classifies_programs () =
     (deopt_fns "function f() { return 1; } print(f());");
   Alcotest.(check int) "delete-on-binding deopts one function" 1
     (deopt_fns "var y = 1; function f() { return delete y; } print(f());");
+  (* every write to a frozen name deopts its function, so the compiled
+     core has no frozen-terminal write path (it raises [Deopt_to_tree]) *)
   Alcotest.(check int) "frozen-name mutation deopts one function" 1
-    (deopt_fns "var f = function self() { self = 1; }; f();")
+    (deopt_fns "var f = function self() { self = 1; }; f();");
+  Alcotest.(check int) "frozen-name mutation from a nested function" 1
+    (deopt_fns
+       "var f = function self() { var g = function () { self = 1; }; g(); };");
+  Alcotest.(check int) "frozen-name mutation in strict code" 1
+    (deopt_fns "\"use strict\"; var f = function self() { self = 1; };");
+  Alcotest.(check int) "frozen-name for-in target" 1
+    (deopt_fns "var f = function self() { for (self in {a: 1}) {} };")
 
 let dynamic_trap_still_counts_one_execution () =
   (* the tree re-run after [Deopt_to_tree] replays the same program; it
@@ -429,15 +435,16 @@ let dynamic_trap_still_counts_one_execution () =
      sharing bench reports *)
   let src = {|var n = "ev" + "al"; this[n]("var v = 3;"); print(v);|} in
   let before = Run.run_count () in
-  let r = Run.run ~resolve:true src in
+  let r = Run.run src in
   Alcotest.(check int) "one execution recorded" (before + 1) (Run.run_count ());
   Alcotest.(check string) "trap produced the eval effect" "3\n" r.Run.r_output
 
-(* --- realm snapshot isolation --- *)
+(* --- production realm isolation --- *)
 
 let realm_snapshots_are_isolated () =
-  (* a compiled execution runs in a realm copied from the shared
-     template; builtin mutations must die with the execution *)
+  (* a production execution runs in the domain's shared realm template
+     behind the copy-on-write barrier; builtin mutations must die with
+     the execution *)
   let vandal =
     {|String.prototype.charAt = function () { return "Z"; };
 Array.prototype.extra = 1;
@@ -445,16 +452,16 @@ print("a".charAt(0));|}
   in
   let probe = {|print("a".charAt(0)); print([].extra);|} in
   Alcotest.(check string) "vandal sees its own mutation" "Z\n"
-    (Run.run ~resolve:true vandal).Run.r_output;
+    (Run.run vandal).Run.r_output;
   Alcotest.(check string) "vandal again, fresh realm" "Z\n"
-    (Run.run ~resolve:true vandal).Run.r_output;
+    (Run.run vandal).Run.r_output;
   Alcotest.(check string) "later execution is unaffected" "a\nundefined\n"
-    (Run.run ~resolve:true probe).Run.r_output;
-  (* and the snapshot realm itself is indistinguishable from a freshly
+    (Run.run probe).Run.r_output;
+  (* and the production realm itself is indistinguishable from a freshly
      installed one *)
   results_agree "probe parity"
-    (Run.run ~coverage:true ~resolve:false probe)
-    (Run.run ~coverage:true ~resolve:true probe)
+    (Run.run ~coverage:true ~config:Run.Reference probe)
+    (Run.run ~coverage:true probe)
 
 (* --- campaign-level invariance --- *)
 
@@ -466,18 +473,18 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_resolve_invariant () =
-  (* (share x resolve) grid on one seed: same discoveries, timeline and
-     filter counts everywhere — the bench's identical_results check in
-     miniature *)
-  let campaign ~share ~resolve =
-    Comfort.Campaign.run ~budget:80 ~share ~resolve ~jobs:1
+  (* a campaign auditing every case against the reference oracle (any
+     report divergence raises), on two jobs, must report exactly what the
+     plain one-job production campaign reports *)
+  let campaign ~audit ~jobs =
+    Comfort.Campaign.run ~budget:80 ~audit ~jobs
       (Comfort.Campaign.comfort_fuzzer ~seed:31 ())
   in
-  let base = campaign ~share:false ~resolve:false in
+  let base = campaign ~audit:0 ~jobs:1 in
   List.iter
-    (fun (share, resolve) ->
-      let r = campaign ~share ~resolve in
-      let tag = Printf.sprintf "share=%b resolve=%b" share resolve in
+    (fun (audit, jobs) ->
+      let r = campaign ~audit ~jobs in
+      let tag = Printf.sprintf "audit=%d jobs=%d" audit jobs in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
         = List.map disc_key base.Comfort.Campaign.cp_discoveries);
@@ -486,15 +493,15 @@ let campaign_resolve_invariant () =
       Alcotest.(check int) (tag ^ ": same filtered repeats")
         base.Comfort.Campaign.cp_filtered_repeats
         r.Comfort.Campaign.cp_filtered_repeats)
-    [ (false, true); (true, false); (true, true) ]
+    [ (1, 2) ]
 
-let audit_share_accepts_resolve () =
-  (* the sharing cross-check must hold under the compiled core too *)
+let audit_accepts_deopt_ladder () =
+  (* the production/reference cross-check must hold on every rung of the
+     deopt ladder *)
   List.iter
     (fun (_, src) ->
       let tc = Comfort.Testcase.make src in
-      ignore
-        (Comfort.Difftest.audit_case ~resolve:true Engine.all_testbeds tc))
+      ignore (Comfort.Difftest.audit_case Engine.all_testbeds tc))
     deopt_fixtures
 
 let suite =
@@ -519,5 +526,5 @@ let suite =
       dynamic_trap_still_counts_one_execution;
     case "realm snapshots are isolated" realm_snapshots_are_isolated;
     case "campaigns are resolve-invariant" campaign_resolve_invariant;
-    case "audit mode passes with the compiled core" audit_share_accepts_resolve;
+    case "audit mode passes with the compiled core" audit_accepts_deopt_ladder;
   ]

@@ -13,8 +13,9 @@
      accounting and the >=4x execution reduction the bench records;
    - sharing across modes: one fixture per mode-dependent point, each of
      which must keep its representative's result inside its own mode;
-   - [Difftest.run_case] and full [Campaign.run]s with sharing on vs off
-     at 1 and 4 jobs, byte-identical reports throughout;
+   - [Difftest.run_case] shared (production) vs direct (the reference
+     oracle), and full [Campaign.run]s auditing every case against the
+     oracle at 1 and 4 jobs, byte-identical reports throughout;
    - the audit mode accepting a clean sample. *)
 
 open Helpers
@@ -282,9 +283,8 @@ let reverse_fill_first_store () =
     "var r = []; for (var j = 40; j >= 0; j--) r[j] = j; print(r.length);"
   in
   List.iter
-    (fun resolve ->
-      let run quirks src = Run.run ~quirks ~fuel:100_000 ~resolve src in
-      let tag = Printf.sprintf "resolve=%b" resolve in
+    (fun (tag, config) ->
+      let run quirks src = Run.run ~quirks ~fuel:100_000 ~config src in
       let plain = run Quirk.Set.empty first and quirked = run q first in
       Alcotest.(check bool) (tag ^ ": first store does not fire") false
         (Quirk.Set.mem Quirk.Q_array_reverse_fill_quadratic
@@ -300,13 +300,13 @@ let reverse_fill_first_store () =
            quirked.Run.r_fired);
       Alcotest.(check bool) (tag ^ ": and burns") true
         (quirked.Run.r_fuel_used > plain.Run.r_fuel_used))
-    [ false; true ];
+    [ ("reference", Run.Reference); ("production", Run.Production) ];
   (* the two cores burn the same on the countdown *)
-  let fuel resolve =
-    (Run.run ~quirks:q ~fuel:100_000 ~resolve countdown).Run.r_fuel_used
+  let fuel config =
+    (Run.run ~quirks:q ~fuel:100_000 ~config countdown).Run.r_fuel_used
   in
-  Alcotest.(check int) "countdown fuel, tree = compiled" (fuel false)
-    (fuel true)
+  Alcotest.(check int) "countdown fuel, tree = compiled" (fuel Run.Reference)
+    (fuel Run.Production)
 
 let exec_cache_collapses_the_sweep () =
   (* the acceptance bar: across a full 102-testbed sweep, at least 4x
@@ -379,11 +379,9 @@ let run_case_share_equals_direct () =
   List.iter
     (fun src ->
       let tc = Comfort.Testcase.make src in
-      let shared =
-        Comfort.Difftest.run_case ~share:true Engine.all_testbeds tc
-      in
+      let shared = Comfort.Difftest.run_case Engine.all_testbeds tc in
       let direct =
-        Comfort.Difftest.run_case ~share:false Engine.all_testbeds tc
+        Comfort.Difftest.run_case ~config:Run.Reference Engine.all_testbeds tc
       in
       Alcotest.(check bool) (src ^ ": reports equal") true
         (Comfort.Difftest.report_equal shared direct))
@@ -404,17 +402,18 @@ let disc_key (d : Comfort.Campaign.discovery) =
     d.Comfort.Campaign.disc_mode )
 
 let campaign_share_invariant () =
-  (* sharing on/off x jobs 1/4: same discoveries, timeline and filter
+  (* auditing every case against the unshared reference oracle (any
+     divergence raises) x jobs 1/4: same discoveries, timeline and filter
      counts everywhere — the bench's acceptance check in miniature *)
-  let campaign ~share ~jobs =
-    Comfort.Campaign.run ~budget:100 ~share ~jobs
+  let campaign ~audit ~jobs =
+    Comfort.Campaign.run ~budget:100 ~audit ~jobs
       (Comfort.Campaign.comfort_fuzzer ~seed:23 ())
   in
-  let base = campaign ~share:false ~jobs:1 in
+  let base = campaign ~audit:0 ~jobs:1 in
   List.iter
-    (fun (share, jobs) ->
-      let r = campaign ~share ~jobs in
-      let tag = Printf.sprintf "share=%b jobs=%d" share jobs in
+    (fun (audit, jobs) ->
+      let r = campaign ~audit ~jobs in
+      let tag = Printf.sprintf "audit=%d jobs=%d" audit jobs in
       Alcotest.(check bool) (tag ^ ": same discoveries") true
         (List.map disc_key r.Comfort.Campaign.cp_discoveries
         = List.map disc_key base.Comfort.Campaign.cp_discoveries);
@@ -426,12 +425,12 @@ let campaign_share_invariant () =
       Alcotest.(check int) (tag ^ ": same unattributed")
         base.Comfort.Campaign.cp_unattributed
         r.Comfort.Campaign.cp_unattributed)
-    [ (false, 4); (true, 1); (true, 4) ]
+    [ (1, 4); (0, 4) ]
 
 let campaign_audit_mode_passes () =
   (* every 3rd case double-runs and cross-checks; any mismatch raises *)
   let r =
-    Comfort.Campaign.run ~budget:60 ~share:true ~audit_share:3 ~jobs:2
+    Comfort.Campaign.run ~budget:60 ~audit:3 ~jobs:2
       (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
   in
   Alcotest.(check int) "campaign completed" 60 r.Comfort.Campaign.cp_cases_run
@@ -465,12 +464,19 @@ var junk2 = 2;|}
       d_fired = target.Run.r_fired;
     }
   in
-  let reduce share =
-    Comfort.Reducer.reduce
-      ~still_triggers:(Comfort.Reducer.still_triggers_deviation ~share tb dev)
-      src
+  (* the same predicate built from direct reference-oracle runs *)
+  let direct src =
+    let target = Engine.run ~config:Run.Reference tb src in
+    let reference = Run.run ~config:Run.Reference src in
+    let tsig = Comfort.Difftest.signature_of_result target in
+    let rsig = Comfort.Difftest.signature_of_result reference in
+    tsig <> rsig
+    && Comfort.Difftest.behavior_label tsig rsig = dev.Comfort.Difftest.d_behavior
+    && Quirk.Set.subset dev.Comfort.Difftest.d_fired target.Run.r_fired
   in
-  Alcotest.(check string) "same reduction" (reduce false) (reduce true)
+  let reduce still_triggers = Comfort.Reducer.reduce ~still_triggers src in
+  Alcotest.(check string) "same reduction" (reduce direct)
+    (reduce (Comfort.Reducer.still_triggers_deviation tb dev))
 
 let suite =
   [

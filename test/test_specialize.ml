@@ -1,13 +1,13 @@
-(* The quirk-specialised fast path (PR 7): copy-on-write realms,
-   per-cell compiled closures with baked-in checkpoint answers, and
+(* The production path's fast machinery: copy-on-write realms and
    monomorphic inline caches at compiled property sites.
 
-   The contract under test is the same as for sharing, resolving and
-   reach: specialisation is *invisible in results*. Every run, sweep and
-   campaign must produce field-for-field what the generic path produces;
-   the only legitimate difference is speed. On top of that, the
-   copy-on-write realm must leak nothing across executions — after any
-   mutation-heavy sweep the domain's shared template has to audit
+   The contract under test is the same as for sharing and compilation:
+   the machinery is *invisible in results*. Every run, sweep and campaign
+   must produce field-for-field what the reference oracle produces (the
+   tree-walker over a freshly installed realm — the "generic" path of
+   these tests); the only legitimate difference is speed. On top of that,
+   the copy-on-write realm must leak nothing across executions — after
+   any mutation-heavy sweep the domain's shared template has to audit
    pristine. *)
 
 open Helpers
@@ -15,11 +15,11 @@ module Engine = Engines.Engine
 module Run = Jsinterp.Run
 module Realm = Jsinterp.Realm
 
-(* Sources chosen to stress exactly the machinery specialisation adds:
-   inline caches (hot property loops, prototype method loads, layout
-   churn), the realm write barrier (template-object mutation: builtin
-   prototypes, global builtins), and per-cell compilation on quirk-rich
-   traffic. *)
+(* Sources chosen to stress exactly the machinery the production path
+   adds: inline caches (hot property loops, prototype method loads,
+   layout churn), the realm write barrier (template-object mutation:
+   builtin prototypes, global builtins), and the compiled checkpoint
+   sites on quirk-rich traffic. *)
 let corpus =
   [
     (* hot own-property loads and stores: inline-cache traffic *)
@@ -73,7 +73,7 @@ let check_result_equal id (a : Run.result) (b : Run.result) =
   Alcotest.(check bool) (id ^ ": touched") true
     (Jsinterp.Quirk.Set.equal a.Run.r_touched b.Run.r_touched)
 
-(* --- specialised runs equal generic runs, field for field --- *)
+(* --- production runs equal reference runs, field for field --- *)
 
 let specialized_equals_generic () =
   List.iter
@@ -81,13 +81,11 @@ let specialized_equals_generic () =
       List.iter
         (fun (tb : Engine.testbed) ->
           let id = Engine.testbed_id tb ^ " on " ^ String.sub src 0 12 in
-          let generic =
-            Engine.run ~fuel:100_000 ~resolve:true ~specialize:false tb src
+          let reference =
+            Engine.run ~fuel:100_000 ~config:Run.Reference tb src
           in
-          let fast =
-            Engine.run ~fuel:100_000 ~resolve:true ~specialize:true tb src
-          in
-          check_result_equal id generic fast)
+          let production = Engine.run ~fuel:100_000 tb src in
+          check_result_equal id reference production)
         Engine.all_testbeds)
     corpus
 
@@ -102,8 +100,7 @@ let cow_sweep_leaves_realm_pristine () =
     (fun src ->
       let ec = Engine.Exec.cache src in
       List.iter
-        (fun tb ->
-          ignore (Engine.Exec.run ~fuel:100_000 ~specialize:true ec tb))
+        (fun tb -> ignore (Engine.Exec.run ~fuel:100_000 ec tb))
         Engine.all_testbeds;
       match Realm.check_pristine () with
       | Ok () -> ()
@@ -112,19 +109,20 @@ let cow_sweep_leaves_realm_pristine () =
     corpus
 
 let cow_sweep_matches_generic_sweep () =
-  (* the same sweep with specialisation on and off, through separate
-     caches, must agree result for result *)
+  (* the shared production sweep against direct reference runs on the
+     same front ends must agree result for result *)
   List.iter
     (fun src ->
-      let ec_fast = Engine.Exec.cache src in
-      let ec_slow = Engine.Exec.cache src in
+      let ec = Engine.Exec.cache src in
+      let fc = Engine.Exec.frontend_cache ec in
       List.iter
         (fun tb ->
-          let fast = Engine.Exec.run ~fuel:100_000 ~specialize:true ec_fast tb in
-          let slow =
-            Engine.Exec.run ~fuel:100_000 ~specialize:false ec_slow tb
+          let fast = Engine.Exec.run ~fuel:100_000 ec tb in
+          let reference =
+            Engine.run ~fuel:100_000 ~config:Run.Reference
+              ~frontend:(Engine.Frontend.frontend fc tb) tb src
           in
-          check_result_equal (Engine.testbed_id tb) slow fast)
+          check_result_equal (Engine.testbed_id tb) reference fast)
         Engine.all_testbeds)
     corpus
 
@@ -134,19 +132,14 @@ let counters_engage () =
   (* deltas of the process-wide counters across targeted runs; the
      fuzzer's own corpus is array- and primitive-heavy, so these
      hand-written programs are the canary that the fast paths exist *)
-  let spec0 = Jsinterp.Compile.specialized_count () in
   let ic0 = Jsinterp.Value.ic_count () in
   let cow0 = Jsinterp.Value.cow_count () in
   ignore
-    (Run.run ~resolve:true ~specialize:true
+    (Run.run
        "var o = {a: 1, b: 2};\n\
         for (var i = 0; i < 50; i++) o.a = o.a + o.b;\n\
         print(o.a);");
-  ignore
-    (Run.run ~resolve:true ~specialize:true
-       "Object.prototype.z = 7;\nvar o = {};\nprint(o.z);");
-  Alcotest.(check bool) "per-cell compilations happened" true
-    (Jsinterp.Compile.specialized_count () > spec0);
+  ignore (Run.run "Object.prototype.z = 7;\nvar o = {};\nprint(o.z);");
   Alcotest.(check bool) "inline caches hit on hot property traffic" true
     (Jsinterp.Value.ic_count () > ic0);
   Alcotest.(check bool) "write barrier journaled a template mutation" true
@@ -159,7 +152,7 @@ let array_receiver_ics_hit () =
      storage cannot answer ["push"], so the site caches arrays too *)
   let ic0 = Jsinterp.Value.ic_count () in
   let r =
-    Run.run ~resolve:true ~specialize:true
+    Run.run
       "var out = [];\n\
        for (var i = 0; i < 20; i++) out.push(i);\n\
        print(out.length + \":\" + out[19]);"
@@ -168,59 +161,11 @@ let array_receiver_ics_hit () =
   Alcotest.(check bool) "inline caches hit on array receivers" true
     (Jsinterp.Value.ic_count () > ic0)
 
-(* --- the per-case audit passes on real traffic --- *)
-
-let audit_specialize_passes () =
-  List.iter
-    (fun src ->
-      let tc = Comfort.Testcase.make src in
-      (* raises Specialize_mismatch on any divergence *)
-      ignore
-        (Comfort.Difftest.audit_specialize_case ~share:true ~resolve:true
-           Engine.all_testbeds tc))
-    corpus
-
-(* --- campaign invariance --- *)
-
-let disc_key (d : Comfort.Campaign.discovery) =
-  ( Engines.Registry.engine_name d.Comfort.Campaign.disc_engine,
-    Jsinterp.Quirk.to_string d.Comfort.Campaign.disc_quirk,
-    d.Comfort.Campaign.disc_at,
-    d.Comfort.Campaign.disc_behavior,
-    Engine.mode_to_string d.Comfort.Campaign.disc_mode )
-
-let campaign_specialize_invariant () =
-  (* specialisation on/off x jobs: identical discoveries, timeline and
-     filter counts — the acceptance bar in miniature *)
-  let campaign ~specialize ~jobs =
-    Comfort.Campaign.run ~budget:80 ~share:true ~resolve:true ~specialize
-      ~jobs
-      (Comfort.Campaign.comfort_fuzzer ~seed:29 ())
-  in
-  let base = campaign ~specialize:false ~jobs:1 in
-  List.iter
-    (fun (specialize, jobs) ->
-      let r = campaign ~specialize ~jobs in
-      let tag = Printf.sprintf "specialize=%b jobs=%d" specialize jobs in
-      Alcotest.(check bool) (tag ^ ": same discoveries") true
-        (List.map disc_key r.Comfort.Campaign.cp_discoveries
-        = List.map disc_key base.Comfort.Campaign.cp_discoveries);
-      Alcotest.(check bool) (tag ^ ": same timeline") true
-        (r.Comfort.Campaign.cp_timeline = base.Comfort.Campaign.cp_timeline);
-      Alcotest.(check int) (tag ^ ": same filtered repeats")
-        base.Comfort.Campaign.cp_filtered_repeats
-        r.Comfort.Campaign.cp_filtered_repeats;
-      Alcotest.(check int) (tag ^ ": same unattributed")
-        base.Comfort.Campaign.cp_unattributed
-        r.Comfort.Campaign.cp_unattributed)
-    [ (true, 1); (true, 4); (false, 4) ]
-
-let campaign_audit_specialize_passes () =
-  (* every 2nd case cross-checks the specialised report against the
-     generic one in a live campaign; a mismatch raises *)
+let campaign_audit_passes () =
+  (* every 2nd case cross-checks the production report against the
+     reference oracle's in a live campaign; a mismatch raises *)
   let r =
-    Comfort.Campaign.run ~budget:40 ~share:true ~resolve:true
-      ~specialize:true ~audit_specialize:2 ~jobs:1
+    Comfort.Campaign.run ~budget:40 ~audit:2 ~jobs:1
       (Comfort.Campaign.comfort_fuzzer ~seed:31 ())
   in
   Alcotest.(check int) "campaign completed its budget" 40
@@ -233,8 +178,5 @@ let suite =
     case "COW sweeps match generic sweeps" cow_sweep_matches_generic_sweep;
     case "specialisation counters engage" counters_engage;
     case "inline caches hit on array receivers" array_receiver_ics_hit;
-    case "per-case specialise audit passes" audit_specialize_passes;
-    case "campaigns are specialisation-invariant"
-      campaign_specialize_invariant;
-    case "auditing campaign passes" campaign_audit_specialize_passes;
+    case "auditing campaign passes" campaign_audit_passes;
   ]

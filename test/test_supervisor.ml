@@ -449,6 +449,16 @@ let checkpoint_load_rejects_garbage () =
   close_out oc;
   Alcotest.(check bool) "bad header rejected" true
     (Result.is_error (Campaign.Checkpoint.load path));
+  (* a previous format version (v3 still carried the execution toggles)
+     gets the typed header error before any unmarshalling *)
+  let oc = open_out_bin path in
+  output_string oc "COMFORT-CKPT v3\njunk";
+  close_out oc;
+  (match Campaign.Checkpoint.load path with
+  | Ok _ -> Alcotest.fail "v3 checkpoint accepted"
+  | Error e ->
+      Alcotest.(check bool) "v3 header: typed diagnostic" true
+        (contains e "bad checkpoint header" && contains e "COMFORT-CKPT v4"));
   Sys.remove path;
   Alcotest.(check bool) "missing file rejected" true
     (Result.is_error (Campaign.Checkpoint.load path))
